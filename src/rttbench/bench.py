@@ -20,12 +20,17 @@ a reply arriving after retirement is counted stale, never reclassified.
 A reply with rtt above the deadline is a MISSED_DEADLINE; at or below it,
 OK. The run covers every wakeup with t0 <= wake <= t0 + duration, which
 yields duration/period + 1 samples on a lossless transport.
+
+Samples are appended as they are taken, so storage grows with the
+samples a run actually makes, not with duration/period. The cyclic
+garbage collector is paused for the run, which keeps collection out of
+the measurement window.
 """
 
 import gc
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import pubsub, wire
@@ -110,7 +115,6 @@ class ClientResult:
     t0_ns: int = 0
     measure_start_ns: int = 0
     measure_end_ns: int = 0
-    events: list = field(default_factory=list)
 
     @property
     def ok(self) -> int:
@@ -137,8 +141,7 @@ class UdpPingTransport:
                  qos: pubsub.QosProfile, *,
                  max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
                  recv_buffer: int = pubsub.DEFAULT_RECV_BUFFER,
-                 verify_payload: bool = True, thread_init=None):
-        self._verify = verify_payload
+                 thread_init=None):
         self._cond = threading.Condition()
         self._armed_seq: int | None = None
         self._t2_ns: int | None = None
@@ -167,7 +170,7 @@ class UdpPingTransport:
             else:
                 self.stale_replies += 1
                 return
-        if self._verify and msg.payload != wire.pattern_payload(msg.seq, len(msg.payload)):
+        if msg.payload != wire.pattern_payload(msg.seq, len(msg.payload)):
             self.payload_mismatches += 1
 
     def await_reply(self, seq: int, deadline_ns: int) -> int | None:
@@ -286,28 +289,23 @@ class CycleClient:
     """Fixed-period ping-pong client; the engine behind run_client.
 
     Owns the publish side and sample finalization; the transport's reply
-    path only records t2 and signals. Sample storage is preallocated for
-    the whole run so the measurement window never grows it.
+    path only records t2 and signals. Samples go into a list that grows
+    by one per sample taken; the GC pause in run() keeps collection out
+    of the measurement window.
     """
 
     def __init__(self, cfg: CycleConfig, transport, clock=None, *,
-                 warmup_ns: int = 0, record_events: bool = False,
-                 pause_gc: bool = True):
+                 warmup_ns: int = 0):
         self.cfg = cfg
         self.transport = transport
         self.clock = clock or MonotonicClock()
         self.warmup_ns = warmup_ns
-        self.record_events = record_events
-        self.pause_gc = pause_gc
-        capacity = cfg.duration_ns // cfg.period_ns + 2
-        self._samples: list = [None] * capacity
-        self._capacity = capacity
 
     def run(self) -> ClientResult:
         # The cyclic collector is the one in-process pause source the hot
         # path can't avoid (sample/datagram objects are acyclic, so
         # refcounting still reclaims them); suspend it for the run.
-        resume_gc = self.pause_gc and gc.isenabled()
+        resume_gc = gc.isenabled()
         if resume_gc:
             gc.collect()
             gc.disable()
@@ -321,7 +319,7 @@ class CycleClient:
         cfg = self.cfg
         clock = self.clock
         counters = ClientCounters()
-        events: list = []
+        samples: list[RttSample] = []
         deadline_us = cfg.deadline_us
         period = cfg.period_ns
 
@@ -330,7 +328,6 @@ class CycleClient:
         end = measure_start + cfg.duration_ns
 
         wire_seq = 0
-        nsamples = 0
         jitter_sum = 0
         k = 0
 
@@ -345,19 +342,13 @@ class CycleClient:
             msg = wire.Message(PING_TOPIC, wire_seq,
                                wire.pattern_payload(wire_seq, cfg.payload_size))
             self.transport.publish(msg)
-            if self.record_events:
-                events.append(("publish", t1, wire_seq))
             t2 = self.transport.await_reply(wire_seq, t1 + cfg.loss_timeout_ns)
             rtt_us = None if t2 is None else (t2 - t1) // 1000
             cls = classify(rtt_us, deadline_us)
             finalized = clock.now_ns()
-            if self.record_events:
-                events.append(("reply" if t2 is not None else "lost",
-                               finalized, wire_seq))
 
             if t1 >= measure_start:
-                self._samples[nsamples] = RttSample(nsamples, t1, t2, rtt_us, cls)
-                nsamples += 1
+                samples.append(RttSample(len(samples), t1, t2, rtt_us, cls))
                 jitter_us = (actual - wake) // 1000
                 jitter_sum += jitter_us
                 if jitter_us > counters.wakeup_jitter_max_us:
@@ -375,18 +366,18 @@ class CycleClient:
         counters.stale_replies = self.transport.stale_replies
         counters.payload_mismatches = self.transport.payload_mismatches
         counters.send_errors = self.transport.send_errors
-        if nsamples:
-            counters.wakeup_jitter_avg_us = jitter_sum // nsamples
-        return ClientResult(samples=self._samples[:nsamples], counters=counters,
+        if samples:
+            counters.wakeup_jitter_avg_us = jitter_sum // len(samples)
+        return ClientResult(samples=samples, counters=counters,
                             t0_ns=t0, measure_start_ns=measure_start,
-                            measure_end_ns=clock.now_ns(), events=events)
+                            measure_end_ns=clock.now_ns())
 
 
 def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
                pong_local: pubsub.Endpoint, qos: pubsub.QosProfile, *,
                warmup_ns: int = 0, max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
                recv_buffer: int = pubsub.DEFAULT_RECV_BUFFER,
-               record_events: bool = False, cycle_thread_init=None,
+               cycle_thread_init=None,
                transport_thread_init=None) -> ClientResult:
     """Run the ping-pong client over UDP and return samples plus counters.
 
@@ -398,8 +389,7 @@ def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
                                  max_datagram=max_datagram,
                                  recv_buffer=recv_buffer,
                                  thread_init=transport_thread_init)
-    client = CycleClient(cfg, transport, warmup_ns=warmup_ns,
-                         record_events=record_events)
+    client = CycleClient(cfg, transport, warmup_ns=warmup_ns)
     result_box: list = []
 
     def _cycle():
@@ -419,7 +409,10 @@ def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
     result = result_box[0]
     if isinstance(result, BaseException):
         raise result
+    # the pong callback thread may still have been counting when the cycle
+    # thread finished; close() joined it, so these totals are final
     result.counters.stale_replies = transport.stale_replies
+    result.counters.payload_mismatches = transport.payload_mismatches
     return result
 
 

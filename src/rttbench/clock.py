@@ -7,17 +7,17 @@ machine run deterministically under scripted reply delays.
 
 import time
 
+#: the last stretch of every wait is spun rather than slept
+SPIN_NS = 1_500_000
+
 
 class MonotonicClock:
     """Real clock with spin-assisted absolute wakeups.
 
     Plain sleep() overshoots by up to a few milliseconds under timer
-    slack; sleeping short and spinning the remainder keeps wakeup error
-    in the low microseconds, which matters at a 10 ms period.
+    slack; sleeping short and spinning the last SPIN_NS keeps wakeup
+    error in the low microseconds, which matters at a 10 ms period.
     """
-
-    def __init__(self, spin_ns: int = 1_500_000):
-        self._spin_ns = spin_ns
 
     def now_ns(self) -> int:
         return time.monotonic_ns()
@@ -29,8 +29,8 @@ class MonotonicClock:
             if now >= t_ns:
                 return now
             remaining = t_ns - now
-            if remaining > self._spin_ns:
-                time.sleep((remaining - self._spin_ns) / 1e9)
+            if remaining > SPIN_NS:
+                time.sleep((remaining - SPIN_NS) / 1e9)
             # else: spin
 
 

@@ -11,8 +11,9 @@ Commands are single UTF-8 lines, LF-terminated:
                            ERROR <reason>
 
 The agent owns the server-side resources of one experiment at a time
-(echo server, stress, traffic sink); STOP tears them down and returns
-their statistics as the RESULT payload.
+(echo server, stress, traffic sink); a START while a session is running
+is refused, and STOP tears the session down and returns its statistics
+as the RESULT payload.
 """
 
 import socket
@@ -70,6 +71,9 @@ class ControlAgent:
                     conn.sendall(b"HELLO\n")
                 elif command.startswith("START "):
                     experiment_id = command[len("START "):]
+                    if session is not None:
+                        conn.sendall(b"ERROR session already started\n")
+                        continue
                     try:
                         session = self._start_session(experiment_id)
                         conn.sendall(b"STARTED\n")

@@ -420,7 +420,7 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
                 cfg.cycle, cfg.ping, cfg.pong, cfg.qos,
                 warmup_ns=cfg.warmup_ns,
                 max_datagram=cfg.max_datagram, recv_buffer=cfg.recv_buffer,
-                record_events=True, **hooks)
+                **hooks)
             events.append(("measure_started", client_result.measure_start_ns))
             events.append(("measure_ended", client_result.measure_end_ns))
             if controller is not None:
@@ -441,19 +441,7 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
 
     samples = client_result.samples if client_result else []
     stats = compute_stats(samples)
-    counters = {}
-    if client_result is not None:
-        c = client_result.counters
-        counters.update({
-            "stale_replies": c.stale_replies,
-            "payload_mismatches": c.payload_mismatches,
-            "send_errors": c.send_errors,
-            "skipped_cycles": c.skipped_cycles,
-            "warmup_samples": c.warmup_samples,
-            "wakeup_jitter_max_us": c.wakeup_jitter_max_us,
-            "wakeup_jitter_avg_us": c.wakeup_jitter_avg_us,
-        })
-        events.extend(client_result.events)
+    counters = dataclasses.asdict(client_result.counters) if client_result else {}
     if rt_report is not None:
         for name, result in outcomes.items():
             rt_report.settings.setdefault(name, result)
@@ -516,11 +504,8 @@ def _meta_lines(result: RunResult) -> list[str]:
     if result.server_stats is not None:
         lines.append(f"server.echoed = {result.server_stats.echoed}")
         lines.append(f"server.malformed = {result.server_stats.malformed}")
-    # orchestration events only; per-sample events would dwarf the meta file
-    for event in result.events:
-        if len(event) == 2:
-            name, t_ns = event
-            lines.append(f"event.{name} = {t_ns}")
+    for name, t_ns in result.events:
+        lines.append(f"event.{name} = {t_ns}")
     lines.append(f"timeseries = {TIMESERIES_CSV}")
     return lines
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from rttbench.bench import (
     EchoServer,
     LoopbackTransport,
     PING_TOPIC,
+    PONG_TOPIC,
     SampleClass,
     ScriptedTransport,
     classify,
@@ -27,14 +29,33 @@ MS = 1_000_000
 S = 1_000_000_000
 
 
-def sim_run(delays, duration_ns, *, warmup_ns=0, payload=16, record_events=False,
-            **cfg_kwargs):
+def sim_run(delays, duration_ns, *, warmup_ns=0, payload=16, **cfg_kwargs):
     cfg = CycleConfig(duration_ns=duration_ns, payload_size=payload, **cfg_kwargs)
     clock = SimClock()
     transport = ScriptedTransport(clock, delays)
-    client = CycleClient(cfg, transport, clock, warmup_ns=warmup_ns,
-                         record_events=record_events)
+    client = CycleClient(cfg, transport, clock, warmup_ns=warmup_ns)
     return client.run()
+
+
+class OneInFlightTransport(ScriptedTransport):
+    """Fails on a publish while a ping is outstanding, or on a wait for
+    any seq other than the last one published."""
+
+    def __init__(self, sim_clock, delays):
+        super().__init__(sim_clock, delays)
+        self.outstanding = None
+        self.published = 0
+
+    def publish(self, msg):
+        assert self.outstanding is None, "second ping while one in flight"
+        self.outstanding = msg.seq
+        self.published += 1
+        super().publish(msg)
+
+    def await_reply(self, seq, deadline_ns):
+        assert seq == self.outstanding, "wait for a seq not just published"
+        self.outstanding = None
+        return super().await_reply(seq, deadline_ns)
 
 
 class TestClassify:
@@ -111,19 +132,15 @@ class TestSimulatedClient:
         assert result.samples[0].cls is SampleClass.LOST
         assert result.counters.stale_replies >= 1
 
-    def test_one_in_flight_from_event_log(self):
+    def test_one_in_flight_at_the_transport(self):
         rng = random.Random(11)
-        result = sim_run(lambda seq: rng.choice([50_000, 12 * MS, None]),
-                         5 * S, record_events=True)
-        outstanding = None
-        for event in result.events:
-            name, _, seq = event
-            if name == "publish":
-                assert outstanding is None, "second ping while one in flight"
-                outstanding = seq
-            elif name in ("reply", "lost"):
-                assert outstanding == seq
-                outstanding = None
+        clock = SimClock()
+        transport = OneInFlightTransport(
+            clock, lambda seq: rng.choice([50_000, 12 * MS, None]))
+        result = CycleClient(CycleConfig(duration_ns=5 * S, payload_size=16),
+                             transport, clock).run()
+        assert transport.outstanding is None
+        assert transport.published == len(result.samples) > 0
 
     def test_warmup_excluded_and_renumbered(self):
         result = sim_run(lambda seq: 100_000, 5 * S, warmup_ns=1 * S)
@@ -132,16 +149,19 @@ class TestSimulatedClient:
         assert result.samples[0].seq == 0
         assert result.samples[0].t1_ns == 1 * S
 
-    def test_preallocated_storage_never_grows(self):
-        cfg = CycleConfig(duration_ns=2 * S)
+    def test_construction_does_not_scale_with_duration(self):
+        # 10 s at a 1 us period: storage sized by duration/period would
+        # take 80 MB before the first ping
+        cfg = CycleConfig(duration_ns=10 * S, period_ns=1000, deadline_ns=1000)
         clock = SimClock()
-        client = CycleClient(cfg, ScriptedTransport(clock, lambda s: 1000), clock)
-        storage = client._samples
-        capacity = len(storage)
-        result = client.run()
-        assert client._samples is storage
-        assert len(client._samples) == capacity
-        assert len(result.samples) <= capacity
+        transport = ScriptedTransport(clock, lambda s: 1000)
+        tracemalloc.start()
+        try:
+            CycleClient(cfg, transport, clock)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_replay_oracle_exactly(self, seed):
@@ -214,6 +234,19 @@ class TestLiveRoundTrip:
             assert stats.echoed == 0
             time.sleep(0.1)
             assert pongs == []
+
+    def test_every_wrong_payload_counted(self, endpoint_pair):
+        ping, pong = endpoint_pair
+        qos = QosProfile()
+        with Publisher(PONG_TOPIC, pong, qos) as pub:
+            def echo_zeros(msg):
+                pub.publish(Message(PONG_TOPIC, msg.seq, bytes(len(msg.payload))))
+
+            with Subscriber(PING_TOPIC, ping, qos, echo_zeros):
+                result = run_client(CycleConfig(duration_ns=1 * S), ping, pong, qos)
+        replied = sum(1 for s in result.samples if s.t2_ns is not None)
+        assert replied > 0
+        assert result.counters.payload_mismatches == replied
 
     def test_absent_server_every_sample_lost(self, endpoint_pair):
         ping, pong = endpoint_pair

@@ -8,7 +8,7 @@ import pytest
 
 from rttbench import runner
 from rttbench.bench import CycleConfig
-from rttbench.control import ControlClient
+from rttbench.control import ControlClient, ControlProtocolError
 from rttbench.errors import ConfigError, PeerUnreachableError, RtApplyError
 from rttbench.loadgen import CbrSpec, StressSpec
 from rttbench.metrics import LatencyStats, compute_stats, import_timeseries
@@ -187,12 +187,11 @@ class TestRunOrchestration:
         )
         result = runner.run(cfg, output_dir=tmp_path)
 
-        order = [name for name, _ in
-                 (e for e in result.events if len(e) == 2)]
+        order = [name for name, _ in result.events]
         assert order == ["run_start", "stress_started", "traffic_started",
                          "warmup_started", "measure_started", "measure_ended",
                          "traffic_stopped", "stress_stopped"]
-        times = dict(e for e in result.events if len(e) == 2)
+        times = dict(result.events)
         for s in result.samples:
             assert times["traffic_started"] <= s.t1_ns <= times["traffic_stopped"]
             assert times["stress_started"] <= s.t1_ns <= times["stress_stopped"]
@@ -216,7 +215,7 @@ class TestRunOrchestration:
         result = runner.run(cfg, output_dir=tmp_path)
         assert result.counters["warmup_samples"] > 0
         rows = import_timeseries(tmp_path / cfg.id / "timeseries.csv")
-        measure_start = dict(e for e in result.events if len(e) == 2)["measure_started"]
+        measure_start = dict(result.events)["measure_started"]
         assert all(r.t1_ns >= measure_start for r in rows)
         assert len(rows) == result.stats.total
 
@@ -274,6 +273,27 @@ class TestControlProtocol:
             with pytest.raises(Exception, match="unknown experiment"):
                 client.start("nope")
             client.close()
+
+    def test_second_start_refused_and_first_session_kept(self):
+        # only the first experiment has a traffic sink, so its result differs
+        first = quick_config(role="server", id="first",
+                             traffic=CbrSpec(2_000_000, loopback_endpoint()))
+        second = quick_config(role="server", id="second")
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        with runner.make_agent(listen, [first, second]) as agent:
+            client = ControlClient(agent.listen)
+            client.hello()
+            client.start(first.id)
+            with pytest.raises(ControlProtocolError,
+                               match="session already started"):
+                client.start(second.id)
+            payload = client.stop()
+            client.close()
+        assert "sink.packets = 0" in payload.decode()
+        for ep in (first.ping, first.traffic.dest):
+            s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            s.bind((ep.address, ep.port))  # raises if the session leaked it
+            s.close()
 
     def test_unreachable_agent_is_distinct_diagnostic(self):
         dead = Endpoint("127.0.0.1", free_udp_port())
