@@ -9,7 +9,6 @@ from .bench import (
     SampleClass,
     classify,
     run_client,
-    run_server,
 )
 from .loadgen import CbrSink, CbrSpec, StressSpec, start_cbr, start_stress
 from .metrics import (
@@ -25,8 +24,6 @@ from .pubsub import (
     QosProfile,
     Reliability,
     Subscriber,
-    create_publisher,
-    create_subscriber,
 )
 from .rtconfig import Capabilities, Outcome, RtProfile, SchedPolicy, apply, probe
 from .runner import (

@@ -189,17 +189,6 @@ class UdpPingTransport:
     def send_errors(self) -> int:
         return self._publisher.send_errors
 
-    def counters(self) -> dict:
-        sub = self._subscriber.counters()
-        return {
-            "pub.datagrams_sent": self._publisher.datagrams_sent,
-            "pub.send_errors": self._publisher.send_errors,
-            "sub.arrived": sub.arrived,
-            "sub.overwritten": sub.overwritten,
-            "sub.malformed_frames": sub.malformed_frames,
-            "sub.incomplete_messages": sub.incomplete_messages,
-        }
-
     def close(self):
         self._subscriber.close()
         self._publisher.close()
@@ -220,9 +209,6 @@ class LoopbackTransport:
 
     def await_reply(self, seq: int, deadline_ns: int) -> int | None:
         return self._replies.pop(seq, None)
-
-    def counters(self) -> dict:
-        return {}
 
     def close(self):
         pass
@@ -277,9 +263,6 @@ class ScriptedTransport:
             self._late.append(arrival)
         self._reap()
         return None
-
-    def counters(self) -> dict:
-        return {}
 
     def close(self):
         pass
@@ -462,15 +445,3 @@ class EchoServer:
     def __exit__(self, *exc):
         self.close()
 
-
-def run_server(sub_endpoint: pubsub.Endpoint, pub_endpoint: pubsub.Endpoint,
-               qos: pubsub.QosProfile, *, duration_ns: int | None = None,
-               stop: threading.Event | None = None, **kwargs) -> ServerStats:
-    """Run the echo server until `stop` is set or `duration_ns` elapses."""
-    stop = stop or threading.Event()
-    server = EchoServer(sub_endpoint, pub_endpoint, qos, **kwargs)
-    try:
-        stop.wait(None if duration_ns is None else duration_ns / 1e9)
-    finally:
-        stats = server.close()
-    return stats

@@ -8,13 +8,13 @@
 """
 
 import argparse
+import dataclasses
 import signal
 import sys
 import threading
 from pathlib import Path
 
 from . import runner
-from .bench import run_server
 from .errors import RttBenchError
 from .metrics import stats_to_text
 from .pubsub import Endpoint
@@ -62,11 +62,11 @@ def _cmd_server(args) -> int:
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    session = runner.Session(dataclasses.replace(cfg, role="server"))
     print(f"[{cfg.id}] echo server on {cfg.ping}, replying to {cfg.pong} "
           "(Ctrl-C to stop)", flush=True)
-    stats = run_server(cfg.ping, cfg.pong, cfg.qos, stop=stop,
-                       max_datagram=cfg.max_datagram,
-                       recv_buffer=cfg.recv_buffer)
+    stop.wait()
+    stats = session.close()
     print(f"echoed {stats.echoed}, malformed {stats.malformed}")
     return 0
 

@@ -11,9 +11,9 @@ Commands are single UTF-8 lines, LF-terminated:
                            ERROR <reason>
 
 The agent owns the server-side resources of one experiment at a time
-(echo server, stress, traffic sink); a START while a session is running
-is refused, and STOP tears the session down and returns its statistics
-as the RESULT payload.
+(RT profile, stress, traffic sink, echo server); a START while a session
+is running is refused, and STOP tears the session down and returns its
+statistics and RT outcomes as the RESULT payload.
 """
 
 import socket
@@ -32,8 +32,9 @@ class ControlProtocolError(RttBenchError):
 class ControlAgent:
     """Accepts one controller at a time and drives experiment sessions.
 
-    `start_session(experiment_id)` must return an object with a
-    `stop() -> bytes` method; KeyError maps to an ERROR reply.
+    `start_session(experiment_id)` starts a session and returns the
+    callable that stops it, `stop() -> bytes`; KeyError maps to an ERROR
+    reply.
     """
 
     def __init__(self, listen: Endpoint, start_session):
@@ -60,7 +61,7 @@ class ControlAgent:
     def _handle(self, conn):
         conn.settimeout(_IO_TIMEOUT)
         reader = conn.makefile("rb")
-        session = None
+        stop_session = None
         try:
             while not self._stop.is_set():
                 line = reader.readline()
@@ -71,11 +72,11 @@ class ControlAgent:
                     conn.sendall(b"HELLO\n")
                 elif command.startswith("START "):
                     experiment_id = command[len("START "):]
-                    if session is not None:
+                    if stop_session is not None:
                         conn.sendall(b"ERROR session already started\n")
                         continue
                     try:
-                        session = self._start_session(experiment_id)
+                        stop_session = self._start_session(experiment_id)
                         conn.sendall(b"STARTED\n")
                     except KeyError:
                         conn.sendall(f"ERROR unknown experiment {experiment_id}\n"
@@ -83,16 +84,16 @@ class ControlAgent:
                     except Exception as exc:
                         conn.sendall(f"ERROR {exc}\n".encode())
                 elif command == "STOP":
-                    payload = session.stop() if session is not None else b""
-                    session = None
+                    payload = stop_session() if stop_session is not None else b""
+                    stop_session = None
                     conn.sendall(f"RESULT {len(payload)}\n".encode() + payload)
                 else:
                     conn.sendall(f"ERROR unknown command {command!r}\n".encode())
         except OSError:
             pass
         finally:
-            if session is not None:
-                session.stop()
+            if stop_session is not None:
+                stop_session()
 
     def close(self):
         self._stop.set()

@@ -290,12 +290,3 @@ class Subscriber:
     def __exit__(self, *exc):
         self.close()
 
-
-def create_publisher(topic_id: int, remote: Endpoint, qos: QosProfile,
-                     **kwargs) -> Publisher:
-    return Publisher(topic_id, remote, qos, **kwargs)
-
-
-def create_subscriber(topic_id: int, local: Endpoint, qos: QosProfile,
-                      callback, **kwargs) -> Subscriber:
-    return Subscriber(topic_id, local, qos, callback, **kwargs)

@@ -19,9 +19,11 @@ format:
     traffic.dest = 127.0.0.1:17900
 
 Unknown keys are errors. Every run follows the same sequence: apply the
-RT profile, start stress, start traffic, warm up, measure, then tear
-down in reverse order; results land atomically in the output directory
-(`result.meta`, `timeseries.csv`, `report.md` per run).
+RT profile, start stress, start the echo side and traffic, warm up,
+measure, then tear down in reverse order; results land atomically in the
+output directory (`result.meta`, `timeseries.csv`, `report.md` per run).
+A `Session` starts this host's share of that sequence, for `run`, the
+control agent and `rtt-bench server` alike.
 """
 
 import dataclasses
@@ -32,11 +34,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bench, loadgen, rtconfig
+from . import loadgen, rtconfig
 from .bench import CycleConfig, EchoServer, ServerStats, run_client
 from .control import ControlAgent, ControlClient
 from .errors import ConfigError, RtApplyError, RttBenchError
-from .loadgen import CbrSink, CbrSpec, StressSpec, start_cbr, start_stress
+from .loadgen import (CbrSink, CbrSpec, StressHandle, StressSpec, start_cbr,
+                      start_stress)
 from .metrics import LatencyStats, compute_stats, export_timeseries
 from .pubsub import Endpoint, QosProfile
 from .rtconfig import AppliedReport, RtProfile, SchedPolicy
@@ -93,6 +96,7 @@ class RunResult:
     achieved_send_bps: float | None = None
     achieved_sink_bps: float | None = None
     server_stats: ServerStats | None = None
+    agent: dict = field(default_factory=dict)  # the control agent's RESULT
     samples: list = field(default_factory=list)  # not persisted in the meta file
 
 
@@ -337,124 +341,140 @@ def _build_config(experiment_id, section_line, values):
 # Orchestration
 
 
+class Session:
+    """Everything one experiment starts on this host besides the client.
+
+    In order: the strict-RT check and the process-wide RT profile, stress,
+    and for a role with an echo half (server, both-loopback) the CBR sink
+    when traffic is configured, then the echo server. `hooks` apply the
+    profile to each benchmark thread and record its outcome in
+    `rt_report`. A step that fails closes what was already started;
+    `close()` tears down in reverse order and returns the echo server's
+    statistics (None without an echo half).
+    """
+
+    def __init__(self, cfg: ExperimentConfig, *, strict: bool = False, event=None):
+        self.cfg = cfg
+        self._event = event or (lambda name: None)
+        self._lock = threading.Lock()
+        self.rt_report: AppliedReport | None = None
+        self.stress: StressHandle | None = None
+        self.sink: CbrSink | None = None
+        self.server: EchoServer | None = None
+        self.hooks = {} if cfg.rt is None else {
+            "cycle_thread_init": self._thread_init,
+            "transport_thread_init": self._thread_init,
+        }
+        try:
+            self._start(strict or cfg.rt_strict)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, strict: bool):
+        cfg = self.cfg
+        if cfg.rt is not None:
+            if strict and cfg.rt.app_policy is SchedPolicy.FIFO \
+                    and not rtconfig.probe().fifo:
+                raise RtApplyError("policy", "DENIED", "SCHED_FIFO unavailable")
+            self.rt_report = rtconfig.apply(cfg.rt, strict=strict,
+                                            eth_irq_pattern=cfg.eth_irq_pattern,
+                                            softirq_pattern=cfg.softirq_pattern)
+            self._event("rt_applied")
+        if cfg.stress is not None:
+            self.stress = start_stress(cfg.stress)
+            self._event("stress_started")
+        if cfg.role != "client":
+            if cfg.traffic is not None:
+                self.sink = CbrSink(cfg.traffic.dest)
+            self.server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
+                                     max_datagram=cfg.max_datagram,
+                                     recv_buffer=cfg.recv_buffer,
+                                     thread_init=self.hooks.get("transport_thread_init"))
+
+    def _thread_init(self, role: str):
+        kind = "cycle" if role == "cycle" else "transport"
+        result = rtconfig.apply_current_thread(self.cfg.rt, kind)
+        with self._lock:
+            self.rt_report.settings.setdefault(f"policy:{kind}", result)
+
+    def close(self) -> ServerStats | None:
+        stats = self.server.close() if self.server is not None else None
+        if self.sink is not None:
+            self.sink.close()
+        if self.stress is not None:
+            self.stress.stop()
+            self._event("stress_stopped")
+        return stats
+
+
 def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
         stop: threading.Event | None = None) -> RunResult:
     """Run one experiment end to end and persist its result.
 
-    Sequence: apply RT profile -> start stress -> start traffic -> warm-up
-    -> measurement -> teardown in reverse order. A strict-RT failure
-    aborts before anything else starts; teardown always runs.
+    Sequence: apply RT profile -> start stress -> start the echo side (a
+    client's is the control agent's session, when one is configured) ->
+    start traffic -> warm-up -> measurement -> teardown in reverse order.
+    A strict-RT failure aborts before anything else starts; teardown
+    always runs. The server role echoes until `stop` is set or the
+    client's run plus a grace period has passed.
     """
-    strict = strict_rt or cfg.rt_strict
     events: list = []
 
     def ev(name):
         events.append((name, time.monotonic_ns()))
 
-    outcomes: dict = {}
-    outcomes_lock = threading.Lock()
-
-    def thread_init(role):
-        kind = "cycle" if role == "cycle" else "transport"
-        result = rtconfig.apply_current_thread(cfg.rt, kind)
-        with outcomes_lock:
-            outcomes.setdefault(f"policy:{kind}", result)
-
-    rt_report = None
-    stress_handle = None
+    ev("run_start")
+    session = Session(cfg, strict=strict_rt, event=ev)
     traffic_handle = None
-    sink = None
-    server = None
+    traffic_report = None
     controller = None
     client_result = None
-    server_stats = None
-    traffic_report = None
-
+    agent: dict = {}
     try:
-        ev("run_start")
-        if cfg.rt is not None:
-            if strict and cfg.rt.app_policy is SchedPolicy.FIFO \
-                    and not rtconfig.probe().fifo:
-                raise RtApplyError("policy", "DENIED", "SCHED_FIFO unavailable")
-            rt_report = rtconfig.apply(cfg.rt, strict=strict,
-                                       eth_irq_pattern=cfg.eth_irq_pattern,
-                                       softirq_pattern=cfg.softirq_pattern)
-            ev("rt_applied")
-
-        if cfg.stress is not None:
-            stress_handle = start_stress(cfg.stress)
-            ev("stress_started")
-
-        if cfg.traffic is not None:
-            if cfg.role == "both-loopback":
-                sink = CbrSink(cfg.traffic.dest)
-            spec = dataclasses.replace(cfg.traffic, duration_s=None)
-            traffic_handle = start_cbr(spec, rate_cap_bps=cfg.traffic_cap_bps)
-            ev("traffic_started")
-
-        hooks = {} if cfg.rt is None else {
-            "cycle_thread_init": thread_init,
-            "transport_thread_init": thread_init,
-        }
         if cfg.role == "server":
             grace_ns = cfg.warmup_ns + cfg.cycle.duration_ns + 10_000_000_000
             ev("measure_started")
-            server_stats = bench.run_server(
-                cfg.ping, cfg.pong, cfg.qos,
-                duration_ns=grace_ns, stop=stop,
-                max_datagram=cfg.max_datagram, recv_buffer=cfg.recv_buffer,
-                thread_init=hooks.get("transport_thread_init"))
+            (stop or threading.Event()).wait(grace_ns / 1e9)
             ev("measure_ended")
         else:
             if cfg.role == "client" and cfg.control_agent is not None:
                 controller = ControlClient(cfg.control_agent)
                 controller.hello()
                 controller.start(cfg.id)
-            if cfg.role == "both-loopback":
-                server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
-                                    max_datagram=cfg.max_datagram,
-                                    recv_buffer=cfg.recv_buffer,
-                                    thread_init=hooks.get("transport_thread_init"))
+            if cfg.traffic is not None:
+                spec = dataclasses.replace(cfg.traffic, duration_s=None)
+                traffic_handle = start_cbr(spec, rate_cap_bps=cfg.traffic_cap_bps)
+                ev("traffic_started")
             ev("warmup_started")
             client_result = run_client(
                 cfg.cycle, cfg.ping, cfg.pong, cfg.qos,
                 warmup_ns=cfg.warmup_ns,
                 max_datagram=cfg.max_datagram, recv_buffer=cfg.recv_buffer,
-                **hooks)
+                **session.hooks)
             events.append(("measure_started", client_result.measure_start_ns))
             events.append(("measure_ended", client_result.measure_end_ns))
             if controller is not None:
-                controller.stop()
+                agent = _parse_key_values(controller.stop().decode())
     finally:
         if controller is not None:
             controller.close()
-        if server is not None:
-            server_stats = server.close()
         if traffic_handle is not None:
             traffic_report = traffic_handle.stop()
             ev("traffic_stopped")
-        if sink is not None:
-            sink.close()
-        if stress_handle is not None:
-            stress_handle.stop()
-            ev("stress_stopped")
+        server_stats = session.close()
 
     samples = client_result.samples if client_result else []
-    stats = compute_stats(samples)
-    counters = dataclasses.asdict(client_result.counters) if client_result else {}
-    if rt_report is not None:
-        for name, result in outcomes.items():
-            rt_report.settings.setdefault(name, result)
-
     result = RunResult(
         config=cfg,
-        stats=stats,
-        rt_report=rt_report,
-        counters=counters,
+        stats=compute_stats(samples),
+        rt_report=session.rt_report,
+        counters=dataclasses.asdict(client_result.counters) if client_result else {},
         events=events,
         achieved_send_bps=traffic_report.achieved_bps if traffic_report else None,
-        achieved_sink_bps=sink.achieved_bps() if sink else None,
+        achieved_sink_bps=session.sink.achieved_bps() if session.sink else None,
         server_stats=server_stats,
+        agent=agent,
         samples=samples,
     )
     out = output_dir or cfg.output_dir
@@ -465,6 +485,22 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
 
 # --------------------------------------------------------------------------
 # Result persistence
+
+
+def _rt_lines(report: AppliedReport | None) -> list[str]:
+    if report is None:
+        return []
+    return [f"rt.{name} = {res.outcome.value} {res.effective}".rstrip()
+            for name, res in sorted(report.items())]
+
+
+def _parse_key_values(text: str) -> dict:
+    values = {}
+    for raw in text.splitlines():
+        if "=" in raw:
+            key, _, value = raw.partition("=")
+            values[key.strip()] = value.strip()
+    return values
 
 
 def _meta_lines(result: RunResult) -> list[str]:
@@ -492,9 +528,7 @@ def _meta_lines(result: RunResult) -> list[str]:
         f"stats.total = {stats.total}",
         "stats.histogram = " + ",".join(str(n) for n in stats.histogram),
     ]
-    if result.rt_report is not None:
-        for name, res in sorted(result.rt_report.items()):
-            lines.append(f"rt.{name} = {res.outcome.value} {res.effective}".rstrip())
+    lines += _rt_lines(result.rt_report)
     for key in sorted(result.counters):
         lines.append(f"counters.{key} = {result.counters[key]}")
     if result.achieved_send_bps is not None:
@@ -504,6 +538,8 @@ def _meta_lines(result: RunResult) -> list[str]:
     if result.server_stats is not None:
         lines.append(f"server.echoed = {result.server_stats.echoed}")
         lines.append(f"server.malformed = {result.server_stats.malformed}")
+    for key, value in result.agent.items():
+        lines.append(f"agent.{key} = {value}")
     for name, t_ns in result.events:
         lines.append(f"event.{name} = {t_ns}")
     lines.append(f"timeseries = {TIMESERIES_CSV}")
@@ -535,11 +571,7 @@ def write_result(result: RunResult, output_dir: Path) -> Path:
 
 def load_stored_stats(run_dir: Path) -> tuple[str, LatencyStats]:
     """Reconstruct (id, LatencyStats) from a stored result.meta."""
-    values = {}
-    for raw in (run_dir / RESULT_META).read_text(encoding="utf-8").splitlines():
-        if "=" in raw:
-            key, _, value = raw.partition("=")
-            values[key.strip()] = value.strip()
+    values = _parse_key_values((run_dir / RESULT_META).read_text(encoding="utf-8"))
     opt = lambda k: None if values[k] == "-" else int(values[k])
     stats = LatencyStats(
         min_us=opt("stats.min_us"),
@@ -591,38 +623,26 @@ def render_report(results) -> str:
 
 
 # --------------------------------------------------------------------------
-# Agent-side sessions (server half of a two-host experiment)
-
-
-class AgentSession:
-    """Server-side resources for one experiment, driven over the control link."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.stress_handle = start_stress(cfg.stress) if cfg.stress else None
-        self.sink = CbrSink(cfg.traffic.dest) if cfg.traffic else None
-        self.server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
-                                 max_datagram=cfg.max_datagram,
-                                 recv_buffer=cfg.recv_buffer)
-
-    def stop(self) -> bytes:
-        stats = self.server.close()
-        lines = [f"server.echoed = {stats.echoed}",
-                 f"server.malformed = {stats.malformed}"]
-        if self.sink is not None:
-            lines.append(f"sink.packets = {self.sink.packets}")
-            lines.append(f"sink.bytes = {self.sink.bytes}")
-            lines.append(f"sink.lost = {self.sink.lost()}")
-            self.sink.close()
-        if self.stress_handle is not None:
-            self.stress_handle.stop()
-        return ("\n".join(lines) + "\n").encode()
+# Control agent (server half of a two-host experiment)
 
 
 def make_agent(listen: Endpoint, matrix: list[ExperimentConfig]) -> ControlAgent:
+    """Serve each experiment's echo side as a role-server Session."""
     by_id = {cfg.id: cfg for cfg in matrix}
 
-    def start_session(experiment_id: str) -> AgentSession:
-        return AgentSession(by_id[experiment_id])
+    def start_session(experiment_id: str):
+        session = Session(dataclasses.replace(by_id[experiment_id], role="server"))
+
+        def stop() -> bytes:
+            stats = session.close()
+            lines = [f"server.echoed = {stats.echoed}",
+                     f"server.malformed = {stats.malformed}"]
+            if session.sink is not None:
+                lines.append(f"sink.packets = {session.sink.packets}")
+                lines.append(f"sink.bytes = {session.sink.bytes}")
+                lines.append(f"sink.lost = {session.sink.lost()}")
+            lines += _rt_lines(session.rt_report)
+            return ("\n".join(lines) + "\n").encode()
+        return stop
 
     return ControlAgent(listen, start_session)

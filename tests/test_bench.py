@@ -17,7 +17,6 @@ from rttbench.bench import (
     ScriptedTransport,
     classify,
     run_client,
-    run_server,
 )
 from rttbench.clock import MonotonicClock, SimClock
 from rttbench.pubsub import Endpoint, Publisher, QosProfile, Subscriber
@@ -256,8 +255,3 @@ class TestLiveRoundTrip:
         result = run_client(cfg, ping, pong, qos)
         assert result.lost == len(result.samples) > 0
         assert all(s.rtt_us is None for s in result.samples)
-
-    def test_run_server_stops_on_duration(self, endpoint_pair):
-        ping, pong = endpoint_pair
-        stats = run_server(ping, pong, QosProfile(), duration_ns=100 * MS)
-        assert stats.echoed == 0

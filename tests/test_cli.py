@@ -1,16 +1,26 @@
 """Command line interface behavior."""
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from rttbench.bench import CycleConfig
+from rttbench.bench import PING_TOPIC, PONG_TOPIC, CycleConfig
 from rttbench.cli import main
 from rttbench.metrics import LatencyStats
-from rttbench.pubsub import Endpoint, QosProfile
+from rttbench.pubsub import Endpoint, Publisher, QosProfile, Subscriber
 from rttbench.runner import ExperimentConfig, RunResult, write_result
+from rttbench.wire import Message, pattern_payload
 
-REPO_MATRIX = Path(__file__).resolve().parent.parent / "matrices" / "paper-analogues.conf"
+from conftest import loopback_endpoint
+
+REPO = Path(__file__).resolve().parent.parent
+REPO_MATRIX = REPO / "matrices" / "paper-analogues.conf"
 
 
 def stored_result(tmp_path, experiment_id, stats):
@@ -68,3 +78,36 @@ def test_shipped_matrix_parses(tmp_path):
 
 def test_server_requires_single_experiment(capsys):
     assert main(["server", str(REPO_MATRIX)]) == 2
+
+
+def test_server_echoes_until_sigterm(tmp_path):
+    ping, pong = loopback_endpoint(), loopback_endpoint()
+    matrix = tmp_path / "server.conf"
+    matrix.write_text(f"[X]\nrole = server\nendpoints.ping = {ping}\n"
+                      f"endpoints.pong = {pong}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    # a child process, so this process's signal handlers stay untouched
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rttbench.cli", "server", str(matrix), "--id", "X"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 10)[0], "no start-up line"
+        assert "echo server on" in proc.stdout.readline()
+        pongs = []
+        with Subscriber(PONG_TOPIC, pong, QosProfile(), pongs.append), \
+                Publisher(PING_TOPIC, ping, QosProfile()) as pub:
+            pub.publish(Message(PING_TOPIC, 0, pattern_payload(0, 100)))
+            deadline = time.monotonic() + 3
+            while not pongs and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert len(pongs) == 1
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    assert "echoed 1," in out

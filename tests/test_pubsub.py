@@ -14,8 +14,6 @@ from rttbench.pubsub import (
     Reliability,
     Subscriber,
     _HistoryQueue,
-    create_publisher,
-    create_subscriber,
 )
 from rttbench.wire import Message, pattern_payload
 
@@ -97,9 +95,9 @@ class TestPublisher:
             with pytest.raises(ValueError):
                 pub.publish(Message(2, 0, b""))
 
-    def test_create_publisher_factory(self, endpoint_pair):
+    def test_publisher_opens_and_closes(self, endpoint_pair):
         remote, _ = endpoint_pair
-        pub = create_publisher(1, remote, QosProfile())
+        pub = Publisher(1, remote, QosProfile())
         pub.close()
 
 
@@ -107,7 +105,7 @@ class TestSubscriber:
     def test_single_message_delivered_exactly_once(self):
         local = loopback_endpoint()
         seen = []
-        with create_subscriber(7, local, QosProfile(), seen.append) as sub, \
+        with Subscriber(7, local, QosProfile(), seen.append) as sub, \
                 Publisher(7, local, QosProfile()) as pub:
             pub.publish(Message(7, 0, pattern_payload(0, 500)))
             assert wait_until(lambda: len(seen) == 1)

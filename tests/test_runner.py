@@ -3,6 +3,7 @@
 import multiprocessing
 import socket
 import threading
+import time
 
 import pytest
 
@@ -240,6 +241,36 @@ class TestRunOrchestration:
         assert (tmp_path / cfg.id).exists()
         assert first  # sanity
 
+    def test_server_role_sinks_traffic_and_stops_on_request(self, tmp_path):
+        cfg = quick_config(role="server",
+                           traffic=CbrSpec(2_000_000, loopback_endpoint()))
+        stop = threading.Event()
+        seen = {}
+
+        def look_then_stop():
+            seen["threads"] = {t.name for t in threading.enumerate()}
+            probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                probe.bind((cfg.traffic.dest.address, cfg.traffic.dest.port))
+                seen["sink_bound"] = False
+            except OSError:
+                seen["sink_bound"] = True
+            finally:
+                probe.close()
+            stop.set()
+
+        threading.Timer(0.3, look_then_stop).start()
+        started = time.monotonic()
+        runner.run(cfg, output_dir=tmp_path, stop=stop)
+        # without the stop the run would last its 11 s grace period
+        assert time.monotonic() - started < 3.0
+        assert seen["sink_bound"]
+        assert "cbr-sink" in seen["threads"]
+        assert "cbr-send" not in seen["threads"]
+        meta = (tmp_path / cfg.id / "result.meta").read_text()
+        assert "traffic.achieved_sink_bps = " in meta
+        assert "traffic.achieved_send_bps" not in meta
+
     def test_report_rendering_from_stored_results(self, tmp_path):
         cfg = quick_config()
         result = runner.run(cfg, output_dir=tmp_path)
@@ -295,22 +326,63 @@ class TestControlProtocol:
             s.bind((ep.address, ep.port))  # raises if the session leaked it
             s.close()
 
+    def test_refused_start_leaks_nothing(self):
+        cfg = quick_config(role="server", stress=StressSpec(cpu_workers=1),
+                           traffic=CbrSpec(2_000_000, loopback_endpoint()))
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        held = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        held.bind((cfg.ping.address, cfg.ping.port))  # the echo server can't bind
+        try:
+            with runner.make_agent(listen, [cfg]) as agent:
+                client = ControlClient(agent.listen)
+                client.hello()
+                with pytest.raises(ControlProtocolError, match="ERROR"):
+                    client.start(cfg.id)
+                client.close()
+        finally:
+            held.close()
+        assert multiprocessing.active_children() == []
+        assert not [t for t in threading.enumerate() if t.name == "cbr-sink"]
+        s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        s.bind((cfg.traffic.dest.address, cfg.traffic.dest.port))
+        s.close()
+
+    def test_agent_result_carries_rt_outcomes(self):
+        cfg = quick_config(role="server", rt=RtProfile())
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        with runner.make_agent(listen, [cfg]) as agent:
+            client = ControlClient(agent.listen)
+            client.hello()
+            client.start(cfg.id)
+            payload = client.stop()
+            client.close()
+        assert "rt.policy:transport = APPLIED" in payload.decode()
+
     def test_unreachable_agent_is_distinct_diagnostic(self):
         dead = Endpoint("127.0.0.1", free_udp_port())
         with pytest.raises(PeerUnreachableError):
             ControlClient(dead, timeout=0.5)
 
     def test_client_run_with_agent_coordination(self, tmp_path):
-        # the agent hosts the echo server; the client runs the measurement
+        # the agent hosts the echo server and the CBR sink; the client runs
+        # the measurement and sends the traffic
         ping, pong = loopback_endpoint(), loopback_endpoint()
-        server_cfg = quick_config(role="server", ping=ping, pong=pong)
+        traffic = CbrSpec(2_000_000, loopback_endpoint())
+        server_cfg = quick_config(role="server", ping=ping, pong=pong, traffic=traffic)
         listen = Endpoint("127.0.0.1", free_udp_port())
         with runner.make_agent(listen, [server_cfg]) as agent:
             client_cfg = quick_config(role="client", id="t", ping=ping, pong=pong,
-                                      control_agent=agent.listen)
+                                      traffic=traffic, control_agent=agent.listen)
             result = runner.run(client_cfg, output_dir=tmp_path)
         assert result.stats.total > 0
         assert result.stats.lost == 0
+        meta = (tmp_path / client_cfg.id / "result.meta").read_text()
+        values = dict(line.split(" = ", 1) for line in meta.splitlines())
+        echoed = int(values["agent.server.echoed"])
+        assert echoed >= result.stats.total - result.stats.lost
+        # the agent's sink is bound before the first CBR packet leaves
+        assert int(values["agent.sink.packets"]) > 0
+        assert values["agent.sink.lost"] == "0"
 
     def test_unreachable_agent_aborts_client_run(self, tmp_path):
         cfg = quick_config(role="client",
