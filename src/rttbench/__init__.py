@@ -17,14 +17,7 @@ from .metrics import (
     export_timeseries,
     import_timeseries,
 )
-from .pubsub import (
-    Endpoint,
-    History,
-    Publisher,
-    QosProfile,
-    Reliability,
-    Subscriber,
-)
+from .pubsub import Endpoint, Publisher, QosProfile, Subscriber
 from .rtconfig import Capabilities, Outcome, RtProfile, SchedPolicy, apply, probe
 from .runner import (
     ExperimentConfig,

@@ -116,18 +116,6 @@ class ClientResult:
     measure_start_ns: int = 0
     measure_end_ns: int = 0
 
-    @property
-    def ok(self) -> int:
-        return sum(1 for s in self.samples if s.cls is SampleClass.OK)
-
-    @property
-    def missed(self) -> int:
-        return sum(1 for s in self.samples if s.cls is SampleClass.MISSED_DEADLINE)
-
-    @property
-    def lost(self) -> int:
-        return sum(1 for s in self.samples if s.cls is SampleClass.LOST)
-
 
 class UdpPingTransport:
     """Ping publisher + pong subscriber glued by a one-slot reply mailbox.
@@ -140,18 +128,16 @@ class UdpPingTransport:
     def __init__(self, ping_remote: pubsub.Endpoint, pong_local: pubsub.Endpoint,
                  qos: pubsub.QosProfile, *,
                  max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
-                 recv_buffer: int = pubsub.DEFAULT_RECV_BUFFER,
                  thread_init=None):
         self._cond = threading.Condition()
         self._armed_seq: int | None = None
         self._t2_ns: int | None = None
         self.stale_replies = 0
         self.payload_mismatches = 0
-        self._publisher = pubsub.Publisher(PING_TOPIC, ping_remote, qos,
+        self._publisher = pubsub.Publisher(PING_TOPIC, ping_remote,
                                            max_datagram=max_datagram)
         self._subscriber = pubsub.Subscriber(PONG_TOPIC, pong_local, qos,
                                              self._on_pong,
-                                             recv_buffer=recv_buffer,
                                              thread_init=thread_init,
                                              name="pong")
 
@@ -192,80 +178,6 @@ class UdpPingTransport:
     def close(self):
         self._subscriber.close()
         self._publisher.close()
-
-
-class LoopbackTransport:
-    """In-process lossless echo: the reply is available the moment we send."""
-
-    def __init__(self, clock):
-        self._clock = clock
-        self._replies: dict[int, int] = {}
-        self.stale_replies = 0
-        self.payload_mismatches = 0
-        self.send_errors = 0
-
-    def publish(self, msg: wire.Message) -> None:
-        self._replies[msg.seq] = self._clock.now_ns()
-
-    def await_reply(self, seq: int, deadline_ns: int) -> int | None:
-        return self._replies.pop(seq, None)
-
-    def close(self):
-        pass
-
-
-class ScriptedTransport:
-    """Simulated transport: reply delays come from a script, time from SimClock.
-
-    `delays` maps seq -> delay in ns (None = no reply ever). A scheduled
-    reply at or before the wait deadline is delivered at its exact virtual
-    time; one landing after the deadline is counted stale once virtual time
-    passes its arrival.
-    """
-
-    def __init__(self, sim_clock, delays):
-        self._clock = sim_clock
-        self._delays = delays
-        self._late: list[int] = []
-        self.stale_replies = 0
-        self.payload_mismatches = 0
-        self.send_errors = 0
-        self._pending: dict[int, int | None] = {}
-
-    def _delay_for(self, seq: int):
-        if callable(self._delays):
-            return self._delays(seq)
-        return self._delays[seq] if seq < len(self._delays) else None
-
-    def _reap(self):
-        now = self._clock.now_ns()
-        still_late = []
-        for t in self._late:
-            if t <= now:
-                self.stale_replies += 1
-            else:
-                still_late.append(t)
-        self._late = still_late
-
-    def publish(self, msg: wire.Message) -> None:
-        delay = self._delay_for(msg.seq)
-        self._pending[msg.seq] = None if delay is None \
-            else self._clock.now_ns() + delay
-        self._reap()
-
-    def await_reply(self, seq: int, deadline_ns: int) -> int | None:
-        arrival = self._pending.pop(seq, None)
-        if arrival is not None and arrival <= deadline_ns:
-            self._clock.advance_to(arrival)
-            return arrival
-        self._clock.advance_to(deadline_ns)
-        if arrival is not None:
-            self._late.append(arrival)
-        self._reap()
-        return None
-
-    def close(self):
-        pass
 
 
 class CycleClient:
@@ -359,7 +271,6 @@ class CycleClient:
 def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
                pong_local: pubsub.Endpoint, qos: pubsub.QosProfile, *,
                warmup_ns: int = 0, max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
-               recv_buffer: int = pubsub.DEFAULT_RECV_BUFFER,
                cycle_thread_init=None,
                transport_thread_init=None) -> ClientResult:
     """Run the ping-pong client over UDP and return samples plus counters.
@@ -370,7 +281,6 @@ def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
     """
     transport = UdpPingTransport(ping_remote, pong_local, qos,
                                  max_datagram=max_datagram,
-                                 recv_buffer=recv_buffer,
                                  thread_init=transport_thread_init)
     client = CycleClient(cfg, transport, warmup_ns=warmup_ns)
     result_box: list = []
@@ -412,14 +322,12 @@ class EchoServer:
     def __init__(self, ping_local: pubsub.Endpoint, pong_remote: pubsub.Endpoint,
                  qos: pubsub.QosProfile, *,
                  max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
-                 recv_buffer: int = pubsub.DEFAULT_RECV_BUFFER,
                  thread_init=None):
-        self._publisher = pubsub.Publisher(PONG_TOPIC, pong_remote, qos,
+        self._publisher = pubsub.Publisher(PONG_TOPIC, pong_remote,
                                            max_datagram=max_datagram)
         self._echoed = 0
         self._subscriber = pubsub.Subscriber(PING_TOPIC, ping_local, qos,
                                              self._on_ping,
-                                             recv_buffer=recv_buffer,
                                              thread_init=thread_init,
                                              name="ping")
 

@@ -1,8 +1,9 @@
 """Monotonic time sources for the cycle scheduler.
 
 Wall-clock adjustments must never affect samples, so everything here is
-based on the monotonic clock. The simulated clock lets the cycle state
-machine run deterministically under scripted reply delays.
+based on the monotonic clock. `CycleClient` takes any object with
+`now_ns()` and `sleep_until(t_ns)`, so a virtual clock can stand in for
+this one.
 """
 
 import time
@@ -32,21 +33,3 @@ class MonotonicClock:
             if remaining > SPIN_NS:
                 time.sleep((remaining - SPIN_NS) / 1e9)
             # else: spin
-
-
-class SimClock:
-    """Virtual clock; time moves only via sleep_until/advance_to."""
-
-    def __init__(self, start_ns: int = 0):
-        self._now = start_ns
-
-    def now_ns(self) -> int:
-        return self._now
-
-    def advance_to(self, t_ns: int) -> int:
-        if t_ns > self._now:
-            self._now = t_ns
-        return self._now
-
-    def sleep_until(self, t_ns: int) -> int:
-        return self.advance_to(t_ns)

@@ -13,7 +13,10 @@ Commands are single UTF-8 lines, LF-terminated:
 The agent owns the server-side resources of one experiment at a time
 (RT profile, stress, traffic sink, echo server); a START while a session
 is running is refused, and STOP tears the session down and returns its
-statistics and RT outcomes as the RESULT payload.
+statistics and RT outcomes as the RESULT payload. The controller sends
+nothing between START and STOP, so a held session has no read timeout;
+it ends at STOP, when the controller disconnects, or at the agent's
+close().
 """
 
 import socket
@@ -43,6 +46,7 @@ class ControlAgent:
         self._sock.settimeout(0.2)
         self.listen = Endpoint(listen.address, self._sock.getsockname()[1])
         self._stop = threading.Event()
+        self._conn = None  # the controller being served, for close()
         self._thread = threading.Thread(target=self._serve, name="control-agent",
                                         daemon=True)
         self._thread.start()
@@ -56,7 +60,9 @@ class ControlAgent:
             except OSError:
                 break
             with conn:
+                self._conn = conn
                 self._handle(conn)
+                self._conn = None
 
     def _handle(self, conn):
         conn.settimeout(_IO_TIMEOUT)
@@ -77,6 +83,7 @@ class ControlAgent:
                         continue
                     try:
                         stop_session = self._start_session(experiment_id)
+                        conn.settimeout(None)  # silent until STOP
                         conn.sendall(b"STARTED\n")
                     except KeyError:
                         conn.sendall(f"ERROR unknown experiment {experiment_id}\n"
@@ -86,6 +93,7 @@ class ControlAgent:
                 elif command == "STOP":
                     payload = stop_session() if stop_session is not None else b""
                     stop_session = None
+                    conn.settimeout(_IO_TIMEOUT)
                     conn.sendall(f"RESULT {len(payload)}\n".encode() + payload)
                 else:
                     conn.sendall(f"ERROR unknown command {command!r}\n".encode())
@@ -96,9 +104,16 @@ class ControlAgent:
                 stop_session()
 
     def close(self):
+        """Stop serving; a held session is torn down before this returns."""
         self._stop.set()
         self._sock.close()
-        self._thread.join(2.0)
+        conn = self._conn
+        if conn is not None:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes the handler's read
+            except OSError:
+                pass
+        self._thread.join()
 
     def __enter__(self):
         return self

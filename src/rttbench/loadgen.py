@@ -73,10 +73,10 @@ def _io_worker(stop):
         os.sync()
 
 
-def _hdd_worker(stop, tmpdir):
+def _hdd_worker(stop):
     block = b"\xA5" * _HDD_BLOCK
     while not stop.is_set():
-        fd, path = tempfile.mkstemp(prefix="rttbench-hdd-", dir=tmpdir)
+        fd, path = tempfile.mkstemp(prefix="rttbench-hdd-")
         try:
             for _ in range(_HDD_BLOCKS):
                 if stop.is_set():
@@ -91,16 +91,9 @@ def _hdd_worker(stop, tmpdir):
 class StressHandle:
     """Owns the worker processes; stop() terminates and joins them all."""
 
-    def __init__(self, spec: StressSpec, processes, stop_event):
-        self.spec = spec
+    def __init__(self, processes, stop_event):
         self._procs = processes
         self._stop = stop_event
-
-    def alive_count(self) -> int:
-        return sum(1 for p in self._procs if p.is_alive())
-
-    def pids(self) -> list[int]:
-        return [p.pid for p in self._procs if p.pid is not None]
 
     def stop(self) -> None:
         """Idempotent; all workers are gone when this returns."""
@@ -121,17 +114,16 @@ class StressHandle:
         self.stop()
 
 
-def start_stress(spec: StressSpec, tmpdir: str | None = None) -> StressHandle:
+def start_stress(spec: StressSpec) -> StressHandle:
     """Spawn the specified workers; rolls back on partial failure."""
     if spec.total() == 0:
         raise StressSpecError("stress enabled with zero workers")
     stop = _ctx.Event()
-    tmpdir = tmpdir or tempfile.gettempdir()
     targets = (
         [( _cpu_worker, (stop,)) ] * spec.cpu_workers
         + [(_vm_worker, (stop, spec.vm_bytes))] * spec.vm_workers
         + [(_io_worker, (stop,))] * spec.io_workers
-        + [(_hdd_worker, (stop, tmpdir))] * spec.hdd_workers
+        + [(_hdd_worker, (stop,))] * spec.hdd_workers
     )
     procs = []
     try:
@@ -140,28 +132,21 @@ def start_stress(spec: StressSpec, tmpdir: str | None = None) -> StressHandle:
             p.start()
             procs.append(p)
     except OSError as exc:
-        handle = StressHandle(spec, procs, stop)
-        handle.stop()
+        StressHandle(procs, stop).stop()
         raise PartialStartError(f"worker spawn failed after {len(procs)}: {exc}") from exc
-    return StressHandle(spec, procs, stop)
+    return StressHandle(procs, stop)
 
 
 @dataclass(frozen=True)
 class CbrSpec:
+    """CBR traffic at `rate_bps` toward `dest`, in DEFAULT_CBR_PACKET-byte datagrams."""
+
     rate_bps: int
     dest: Endpoint
-    packet_size: int = DEFAULT_CBR_PACKET
-    duration_s: float | None = None  # None: run until stop()
 
     def __post_init__(self):
         if self.rate_bps <= 0:
             raise ValueError("rate must be positive")
-        if not 64 <= self.packet_size <= 1400:
-            raise ValueError(f"packet_size {self.packet_size} outside 64..1400")
-
-    @property
-    def packets_per_second(self) -> float:
-        return self.rate_bps / (self.packet_size * 8)
 
 
 @dataclass
@@ -184,12 +169,6 @@ class TrafficHandle:
         self._stop = stop_event
         self._box = report_box
 
-    def running(self) -> bool:
-        return self._thread.is_alive()
-
-    def wait(self, timeout: float | None = None) -> None:
-        self._thread.join(timeout)
-
     def stop(self) -> TrafficReport:
         """Idempotent; returns the final send-side report."""
         self._stop.set()
@@ -200,15 +179,12 @@ class TrafficHandle:
         return self._box[0]
 
 
-def start_cbr(spec: CbrSpec, rate_cap_bps: int | None = None) -> TrafficHandle:
-    """Start a paced UDP sender toward spec.dest.
+def start_cbr(spec: CbrSpec) -> TrafficHandle:
+    """Start a paced UDP sender toward spec.dest; it runs until stop().
 
     Packet k leaves at t0 + k/pps on the absolute schedule, so short stalls
-    are caught up in bursts and the average rate stays on target. An
-    optional rate cap models devices that cannot sustain the requested
-    rate.
+    are caught up in bursts and the average rate stays on target.
     """
-    rate = spec.rate_bps if rate_cap_bps is None else min(spec.rate_bps, rate_cap_bps)
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 21)
@@ -219,10 +195,8 @@ def start_cbr(spec: CbrSpec, rate_cap_bps: int | None = None) -> TrafficHandle:
     report = TrafficReport(0, 0, 0, 0)
     box = [report]
     dest = (spec.dest.address, spec.dest.port)
-    pad = b"\x00" * (spec.packet_size - _SEQ.size)
-    interval_ns = spec.packet_size * 8 * 1_000_000_000 / rate
-    total = None if spec.duration_s is None \
-        else int(spec.duration_s * rate / (spec.packet_size * 8))
+    pad = b"\x00" * (DEFAULT_CBR_PACKET - _SEQ.size)
+    interval_ns = DEFAULT_CBR_PACKET * 8 * 1_000_000_000 / spec.rate_bps
 
     def _send_loop():
         seq = 0
@@ -230,12 +204,8 @@ def start_cbr(spec: CbrSpec, rate_cap_bps: int | None = None) -> TrafficHandle:
         t0 = time.monotonic_ns()
         try:
             while not stop.is_set():
-                if total is not None and seq >= total:
-                    break
                 now = time.monotonic_ns()
                 due = int((now - t0) / interval_ns) + 1
-                if total is not None:
-                    due = min(due, total)
                 while seq < due:
                     try:
                         sock.sendto(_SEQ.pack(seq) + pad, dest)
@@ -249,7 +219,7 @@ def start_cbr(spec: CbrSpec, rate_cap_bps: int | None = None) -> TrafficHandle:
                     stop.wait(min(delay, 0.05))
         finally:
             report.packets_sent = sent
-            report.bytes_sent = sent * spec.packet_size
+            report.bytes_sent = sent * DEFAULT_CBR_PACKET
             report.elapsed_ns = time.monotonic_ns() - t0
             report.send_errors = errors
             sock.close()
@@ -262,10 +232,10 @@ def start_cbr(spec: CbrSpec, rate_cap_bps: int | None = None) -> TrafficHandle:
 class CbrSink:
     """Counts CBR datagrams on a bound port; loss is inferred from seq gaps."""
 
-    def __init__(self, local: Endpoint, recv_buffer: int = 1 << 22):
+    def __init__(self, local: Endpoint):
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
             self._sock.bind((local.address, local.port))
             self._sock.settimeout(0.05)
         except OSError as exc:
@@ -304,8 +274,8 @@ class CbrSink:
         expected = self.max_seq + 1
         return max(0, expected - self.packets)
 
-    def achieved_bps(self, window_ns: int | None = None) -> float:
-        span = window_ns if window_ns else self.last_rx_ns - self.first_rx_ns
+    def achieved_bps(self) -> float:
+        span = self.last_rx_ns - self.first_rx_ns
         if span <= 0:
             return 0.0
         return self.bytes * 8 / (span / 1e9)

@@ -3,9 +3,9 @@
 There is no discovery and no handshake: a publisher sends datagrams to a
 statically configured peer endpoint, a subscriber binds one. Reliability
 is best-effort only — sends never wait for delivery, and a send error is
-counted, not raised. The subscriber keeps the newest `depth` undelivered
-messages; when the history queue is full the oldest entry is overwritten
-(drops happen at the reader side).
+counted, not raised. History is KEEP_LAST only: the subscriber keeps the
+newest `depth` undelivered messages; when the history queue is full the
+oldest entry is overwritten (drops happen at the reader side).
 """
 
 import ipaddress
@@ -13,7 +13,6 @@ import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from . import wire
 from .errors import InvalidEndpointError, TransportError, UnsupportedQosError
@@ -22,27 +21,13 @@ DEFAULT_RECV_BUFFER = 1 << 20  # 80 Mbps bursts overflow small kernel defaults
 _POLL_S = 0.05
 
 
-class Reliability(Enum):
-    BEST_EFFORT = "BEST_EFFORT"
-
-
-class History(Enum):
-    KEEP_LAST = "KEEP_LAST"
-
-
 @dataclass(frozen=True)
 class QosProfile:
-    """Subscriber queue behavior. Only BEST_EFFORT/KEEP_LAST exists in v1."""
+    """Subscriber queue behavior: best-effort delivery, KEEP_LAST `depth`."""
 
-    reliability: Reliability = Reliability.BEST_EFFORT
-    history: History = History.KEEP_LAST
     depth: int = 1
 
     def __post_init__(self):
-        if self.reliability is not Reliability.BEST_EFFORT:
-            raise UnsupportedQosError(f"unsupported reliability {self.reliability!r}")
-        if self.history is not History.KEEP_LAST:
-            raise UnsupportedQosError(f"unsupported history {self.history!r}")
         if self.depth < 1:
             raise UnsupportedQosError(f"history depth must be >= 1, got {self.depth}")
 
@@ -87,12 +72,10 @@ class Publisher:
     the sample proceeds; a socket timeout bounds the worst-case block.
     """
 
-    def __init__(self, topic_id: int, remote: Endpoint, qos: QosProfile, *,
-                 max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
-                 send_timeout: float = 0.5):
+    def __init__(self, topic_id: int, remote: Endpoint, *,
+                 max_datagram: int = wire.DEFAULT_MAX_DATAGRAM):
         self.topic_id = topic_id
         self.remote = remote
-        self.qos = qos
         self.max_datagram = max_datagram
         self.datagrams_sent = 0
         self.bytes_sent = 0
@@ -100,7 +83,7 @@ class Publisher:
         self._dest = (remote.address, remote.port)
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.settimeout(send_timeout)
+            self._sock.settimeout(0.5)
         except OSError as exc:
             raise TransportError(f"publisher socket: {exc}") from exc
         self._closed = False
@@ -191,15 +174,12 @@ class Subscriber:
     """
 
     def __init__(self, topic_id: int, local: Endpoint, qos: QosProfile, callback, *,
-                 recv_buffer: int = DEFAULT_RECV_BUFFER,
-                 reassembly_timeout_ns: int = wire.REASSEMBLY_TIMEOUT_NS,
                  thread_init=None, name: str = "sub"):
         self.topic_id = topic_id
-        self.qos = qos
         self._callback = callback
         self._thread_init = thread_init
         self._queue = _HistoryQueue(qos.depth)
-        self._reassembler = wire.Reassembler(timeout_ns=reassembly_timeout_ns)
+        self._reassembler = wire.Reassembler()
         self._stop = threading.Event()
         self.malformed_frames = 0
         self.foreign_frames = 0
@@ -209,7 +189,8 @@ class Subscriber:
 
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                  DEFAULT_RECV_BUFFER)
             self._sock.bind((local.address, local.port))
             self._sock.settimeout(_POLL_S)
         except OSError as exc:

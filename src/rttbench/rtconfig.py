@@ -48,7 +48,6 @@ class RtProfile:
     lock_memory: bool = False
     eth_irq_prio: int | None = None
     softirq_worker_prio: int | None = None
-    cycle_cpu: int | None = None  # optional pinning, default off
 
     def __post_init__(self):
         if self.app_policy is SchedPolicy.FIFO:
@@ -88,10 +87,6 @@ class AppliedReport:
         result = SettingResult(outcome, effective)
         self.settings[name] = result
         return result
-
-    @property
-    def all_applied(self) -> bool:
-        return all(r.outcome is Outcome.APPLIED for r in self.settings.values())
 
     def first_failure(self):
         for name, r in self.settings.items():
@@ -291,11 +286,6 @@ def apply_current_thread(profile: RtProfile, role: str) -> SettingResult:
         return SettingResult(Outcome.DENIED, str(exc))
     except OSError as exc:
         return SettingResult(Outcome.UNSUPPORTED, str(exc))
-    if role == "cycle" and profile.cycle_cpu is not None:
-        try:
-            os.sched_setaffinity(0, {profile.cycle_cpu})
-        except OSError as exc:
-            return SettingResult(Outcome.DENIED, f"affinity: {exc}")
     return SettingResult(Outcome.APPLIED, _read_back_current())
 
 

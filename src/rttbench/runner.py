@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import loadgen, rtconfig
+from . import rtconfig
 from .bench import CycleConfig, EchoServer, ServerStats, run_client
 from .control import ControlAgent, ControlClient
 from .errors import ConfigError, RtApplyError, RttBenchError
@@ -73,10 +73,8 @@ class ExperimentConfig:
     softirq_pattern: str = rtconfig.DEFAULT_SOFTIRQ_PATTERN
     stress: StressSpec | None = None
     traffic: CbrSpec | None = None
-    traffic_cap_bps: int | None = None
     control_agent: Endpoint | None = None
     max_datagram: int = 1400
-    recv_buffer: int = 1 << 20
     paper_duration_ns: int = DEFAULT_PAPER_DURATION_NS
     output_dir: Path | None = None
 
@@ -136,21 +134,16 @@ _KEY_PARSERS = {
     "rt.eth_irq_prio": int,
     "rt.softirq_prio": int,
     "rt.strict": _parse_bool,
-    "rt.cycle_cpu": int,
     "rt.eth_irq_pattern": str,
     "rt.softirq_pattern": str,
     "stress.cpu": int,
     "stress.vm": int,
     "stress.io": int,
     "stress.hdd": int,
-    "stress.vm_bytes": int,
     "traffic.rate_mbps": float,
-    "traffic.packet_size": int,
     "traffic.dest": Endpoint.parse,
-    "traffic.cap_mbps": float,
     "control.agent": Endpoint.parse,
     "max_datagram": int,
-    "recv_buffer": int,
     "output_dir": str,
 }
 
@@ -275,8 +268,7 @@ def _build_config(experiment_id, section_line, values):
                            transport_thread_prio=get("rt.transport_prio", 0),
                            lock_memory=get("rt.lock_memory", False),
                            eth_irq_prio=get("rt.eth_irq_prio"),
-                           softirq_worker_prio=get("rt.softirq_prio"),
-                           cycle_cpu=get("rt.cycle_cpu"))
+                           softirq_worker_prio=get("rt.softirq_prio"))
         except ValueError as exc:
             raise ConfigError(str(exc), line=line_of("rt.policy"), key="rt.policy") from exc
 
@@ -286,9 +278,7 @@ def _build_config(experiment_id, section_line, values):
             stress = StressSpec(cpu_workers=get("stress.cpu", 0),
                                 vm_workers=get("stress.vm", 0),
                                 io_workers=get("stress.io", 0),
-                                hdd_workers=get("stress.hdd", 0),
-                                vm_bytes=get("stress.vm_bytes",
-                                             loadgen.DEFAULT_VM_BYTES))
+                                hdd_workers=get("stress.hdd", 0))
         except RttBenchError as exc:
             raise ConfigError(str(exc), line=section_line, key="stress") from exc
         if stress.total() == 0:
@@ -302,17 +292,14 @@ def _build_config(experiment_id, section_line, values):
                               line=line_of("traffic.rate_mbps"), key="traffic.dest")
         try:
             traffic = CbrSpec(rate_bps=int(get("traffic.rate_mbps") * 1e6),
-                              dest=get("traffic.dest"),
-                              packet_size=get("traffic.packet_size",
-                                              loadgen.DEFAULT_CBR_PACKET))
+                              dest=get("traffic.dest"))
         except ValueError as exc:
             raise ConfigError(str(exc), line=line_of("traffic.rate_mbps"),
-                              key="traffic.packet_size") from exc
+                              key="traffic.rate_mbps") from exc
     elif any(k.startswith("traffic.") for k in values):
         raise ConfigError("traffic.* keys present without traffic.rate_mbps",
                           line=section_line, key="traffic.rate_mbps")
 
-    cap = get("traffic.cap_mbps")
     out = get("output_dir")
     return ExperimentConfig(
         id=experiment_id,
@@ -328,10 +315,8 @@ def _build_config(experiment_id, section_line, values):
         softirq_pattern=get("rt.softirq_pattern", rtconfig.DEFAULT_SOFTIRQ_PATTERN),
         stress=stress,
         traffic=traffic,
-        traffic_cap_bps=None if cap is None else int(cap * 1e6),
         control_agent=get("control.agent"),
         max_datagram=get("max_datagram", 1400),
-        recv_buffer=get("recv_buffer", 1 << 20),
         paper_duration_ns=int(get("cycle.paper_duration_s", 600.0) * 1e9),
         output_dir=Path(out) if out else None,
     )
@@ -389,7 +374,6 @@ class Session:
                 self.sink = CbrSink(cfg.traffic.dest)
             self.server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
                                      max_datagram=cfg.max_datagram,
-                                     recv_buffer=cfg.recv_buffer,
                                      thread_init=self.hooks.get("transport_thread_init"))
 
     def _thread_init(self, role: str):
@@ -443,15 +427,13 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
                 controller.hello()
                 controller.start(cfg.id)
             if cfg.traffic is not None:
-                spec = dataclasses.replace(cfg.traffic, duration_s=None)
-                traffic_handle = start_cbr(spec, rate_cap_bps=cfg.traffic_cap_bps)
+                traffic_handle = start_cbr(cfg.traffic)
                 ev("traffic_started")
             ev("warmup_started")
             client_result = run_client(
                 cfg.cycle, cfg.ping, cfg.pong, cfg.qos,
                 warmup_ns=cfg.warmup_ns,
-                max_datagram=cfg.max_datagram, recv_buffer=cfg.recv_buffer,
-                **session.hooks)
+                max_datagram=cfg.max_datagram, **session.hooks)
             events.append(("measure_started", client_result.measure_start_ns))
             events.append(("measure_ended", client_result.measure_end_ns))
             if controller is not None:

@@ -219,11 +219,6 @@ class Reassembler:
         """Expire timed-out pending messages; called on idle receive ticks."""
         self._expire(self._clock())
 
-    def pending_count(self, topic_id: int | None = None) -> int:
-        if topic_id is None:
-            return len(self._pending)
-        return sum(1 for t, _ in self._pending if t == topic_id)
-
     def _complete(self, topic_id: int, seq: int, payload: bytes) -> Message:
         # A completed seq retires every older in-progress message on the topic.
         dropped = [k for k in self._pending if k[0] == topic_id and k[1] < seq]

@@ -97,7 +97,7 @@ def test_server_echoes_until_sigterm(tmp_path):
         assert "echo server on" in proc.stdout.readline()
         pongs = []
         with Subscriber(PONG_TOPIC, pong, QosProfile(), pongs.append), \
-                Publisher(PING_TOPIC, ping, QosProfile()) as pub:
+                Publisher(PING_TOPIC, ping) as pub:
             pub.publish(Message(PING_TOPIC, 0, pattern_payload(0, 100)))
             deadline = time.monotonic() + 3
             while not pongs and time.monotonic() < deadline:

@@ -1,6 +1,8 @@
 """Stress workers and CBR traffic generation."""
 
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -35,60 +37,50 @@ class TestStressWorkers:
         handle = start_stress(StressSpec(2, 2, 2, 2, vm_bytes=8 << 20))
         try:
             deadline = time.monotonic() + 2
-            while handle.alive_count() < 8 and time.monotonic() < deadline:
+            while len(multiprocessing.active_children()) < 8 \
+                    and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert handle.alive_count() == 8
+            assert len(multiprocessing.active_children()) == 8
         finally:
             t0 = time.monotonic()
             handle.stop()
             assert time.monotonic() - t0 < 1.0
-        assert handle.alive_count() == 0
+        assert multiprocessing.active_children() == []
 
     def test_start_then_immediate_stop_leaves_nothing(self):
         handle = start_stress(StressSpec(cpu_workers=2))
         handle.stop()
-        assert handle.alive_count() == 0
+        assert multiprocessing.active_children() == []
 
     def test_stop_is_idempotent(self):
         handle = start_stress(StressSpec(cpu_workers=1))
         handle.stop()
         handle.stop()
-        assert handle.alive_count() == 0
+        assert multiprocessing.active_children() == []
 
     def test_workers_run_without_rt_priority(self):
         handle = start_stress(StressSpec(cpu_workers=2))
         try:
             time.sleep(0.1)
-            for pid in handle.pids():
-                assert os.sched_getscheduler(pid) == os.SCHED_OTHER
+            workers = multiprocessing.active_children()
+            assert len(workers) == 2
+            for worker in workers:
+                assert os.sched_getscheduler(worker.pid) == os.SCHED_OTHER
         finally:
             handle.stop()
 
 
 class TestCbrSpec:
-    def test_pacing_arithmetic(self):
-        sink = loopback_endpoint()
-        assert CbrSpec(1_000_000, sink).packets_per_second == 100
-        assert CbrSpec(80_000_000, sink).packets_per_second == 8000
-
-    def test_packet_size_bounds(self):
-        sink = loopback_endpoint()
-        with pytest.raises(ValueError):
-            CbrSpec(1_000_000, sink, packet_size=63)
-        with pytest.raises(ValueError):
-            CbrSpec(1_000_000, sink, packet_size=1401)
-
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
             CbrSpec(0, loopback_endpoint())
 
 
 class TestCbrTraffic:
-    def run_cbr(self, rate_bps, seconds, cap=None):
+    def run_cbr(self, rate_bps, seconds):
         with CbrSink(loopback_endpoint()) as sink:
-            spec = CbrSpec(rate_bps, sink.local, duration_s=seconds)
-            handle = start_cbr(spec, rate_cap_bps=cap)
-            handle.wait(seconds + 5)
+            handle = start_cbr(CbrSpec(rate_bps, sink.local))
+            time.sleep(seconds)
             report = handle.stop()
             time.sleep(0.1)  # let the last datagrams drain into the sink
             return report, sink.packets, sink.bytes
@@ -106,17 +98,12 @@ class TestCbrTraffic:
         assert packets == report.packets_sent
         assert nbytes == report.bytes_sent
 
-    def test_rate_cap_honored(self):
-        report, _, _ = self.run_cbr(80_000_000, 1.0, cap=2_000_000)
-        assert report.achieved_bps < 3_000_000
-
     def test_stop_is_idempotent(self):
-        spec = CbrSpec(1_000_000, loopback_endpoint(), duration_s=None)
-        handle = start_cbr(spec)
+        handle = start_cbr(CbrSpec(1_000_000, loopback_endpoint()))
         first = handle.stop()
         second = handle.stop()
         assert first is second
-        assert not handle.running()
+        assert "cbr-send" not in {t.name for t in threading.enumerate()}
 
     def test_sequence_header_is_big_endian_u64(self):
         import socket
@@ -125,7 +112,7 @@ class TestCbrTraffic:
         s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         s.bind((sink_ep.address, sink_ep.port))
         s.settimeout(2.0)
-        handle = start_cbr(CbrSpec(1_000_000, sink_ep, duration_s=None))
+        handle = start_cbr(CbrSpec(1_000_000, sink_ep))
         try:
             seqs = [struct.unpack("!Q", s.recvfrom(2048)[0][:8])[0]
                     for _ in range(3)]

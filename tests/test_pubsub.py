@@ -8,10 +8,8 @@ import pytest
 from rttbench.errors import InvalidEndpointError, TransportError, UnsupportedQosError
 from rttbench.pubsub import (
     Endpoint,
-    History,
     Publisher,
     QosProfile,
-    Reliability,
     Subscriber,
     _HistoryQueue,
 )
@@ -31,14 +29,8 @@ def wait_until(predicate, timeout=3.0):
 
 class TestQosProfile:
     def test_default_profile_is_best_effort_keep_last_depth_1(self):
-        qos = QosProfile()
-        assert qos.reliability is Reliability.BEST_EFFORT
-        assert qos.history is History.KEEP_LAST
-        assert qos.depth == 1
-
-    def test_reliable_mode_rejected_at_construction(self):
-        with pytest.raises(UnsupportedQosError):
-            QosProfile(reliability="RELIABLE")
+        # best-effort KEEP_LAST is the only mode; depth is all there is to set
+        assert QosProfile().depth == 1
 
     def test_depth_zero_rejected(self):
         with pytest.raises(UnsupportedQosError):
@@ -84,20 +76,20 @@ class TestHistoryQueue:
 class TestPublisher:
     def test_publish_reports_datagram_count(self, endpoint_pair):
         remote, _ = endpoint_pair
-        with Publisher(1, remote, QosProfile()) as pub:
+        with Publisher(1, remote) as pub:
             assert pub.publish(Message(1, 0, pattern_payload(0, 500))).datagrams == 1
             assert pub.publish(Message(1, 1, pattern_payload(1, 32768))).datagrams == 24
             assert pub.publish(Message(1, 2, b"")).datagrams == 1
 
     def test_topic_mismatch_rejected(self, endpoint_pair):
         remote, _ = endpoint_pair
-        with Publisher(1, remote, QosProfile()) as pub:
+        with Publisher(1, remote) as pub:
             with pytest.raises(ValueError):
                 pub.publish(Message(2, 0, b""))
 
     def test_publisher_opens_and_closes(self, endpoint_pair):
         remote, _ = endpoint_pair
-        pub = Publisher(1, remote, QosProfile())
+        pub = Publisher(1, remote)
         pub.close()
 
 
@@ -106,7 +98,7 @@ class TestSubscriber:
         local = loopback_endpoint()
         seen = []
         with Subscriber(7, local, QosProfile(), seen.append) as sub, \
-                Publisher(7, local, QosProfile()) as pub:
+                Publisher(7, local) as pub:
             pub.publish(Message(7, 0, pattern_payload(0, 500)))
             assert wait_until(lambda: len(seen) == 1)
             time.sleep(0.1)
@@ -118,7 +110,7 @@ class TestSubscriber:
         local = loopback_endpoint()
         seen = []
         with Subscriber(7, local, QosProfile(), seen.append) as sub, \
-                Publisher(7, local, QosProfile()) as pub:
+                Publisher(7, local) as pub:
             payload = pattern_payload(3, 32768)
             pub.publish(Message(7, 3, payload))
             assert wait_until(lambda: len(seen) == 1)
@@ -137,7 +129,7 @@ class TestSubscriber:
                 gate.wait(5.0)
 
         with Subscriber(9, local, QosProfile(depth=1), callback) as sub, \
-                Publisher(9, local, QosProfile(depth=1)) as pub:
+                Publisher(9, local) as pub:
             pub.publish(Message(9, 0, b"gate"))
             assert wait_until(lambda: seen == [0])
             for seq in (1, 2):
@@ -160,7 +152,7 @@ class TestSubscriber:
                 gate.wait(5.0)
 
         with Subscriber(9, local, QosProfile(depth=3), callback) as sub, \
-                Publisher(9, local, QosProfile(depth=3)) as pub:
+                Publisher(9, local) as pub:
             pub.publish(Message(9, 0, b"gate"))
             assert wait_until(lambda: seen == [0])
             for seq in (1, 2, 3, 4):
@@ -187,7 +179,7 @@ class TestSubscriber:
         local = loopback_endpoint()
         seen = []
         with Subscriber(7, local, QosProfile(), seen.append) as sub, \
-                Publisher(8, local, QosProfile()) as pub:
+                Publisher(8, local) as pub:
             pub.publish(Message(8, 0, b"x"))
             assert wait_until(lambda: sub.counters().foreign_frames == 1)
             assert seen == []

@@ -4,10 +4,11 @@ import multiprocessing
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from rttbench import runner
+from rttbench import control, runner
 from rttbench.bench import CycleConfig
 from rttbench.control import ControlClient, ControlProtocolError
 from rttbench.errors import ConfigError, PeerUnreachableError, RtApplyError
@@ -26,6 +27,7 @@ from rttbench.runner import (
 from conftest import free_udp_port, loopback_endpoint
 
 S = 1_000_000_000
+README = Path(__file__).resolve().parent.parent / "README.md"
 NO_MATCH = r"^no-such-kernel-thread-\d+$"
 
 GOOD_MATRIX = """\
@@ -140,6 +142,14 @@ cycle.paper_duration_s = 600
         assert cfg.warmup_ns == 2 * S
         paper = cfg.with_paper_duration()
         assert paper.cycle.duration_ns == 600 * S
+
+    def test_readme_matrix_block_lists_every_key(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        block = text[text.index("## Matrix format"):].split("```\n")[1]
+        assert len(load_matrix(write_matrix(tmp_path, block))) == 1
+        keys = {line.partition("=")[0].strip() for line in block.splitlines()
+                if "=" in line and not line.startswith("#")}
+        assert keys == set(runner._KEY_PARSERS)
 
     def test_ladder_violation_rejected(self, tmp_path):
         text = GOOD_MATRIX + """\
@@ -357,6 +367,42 @@ class TestControlProtocol:
             payload = client.stop()
             client.close()
         assert "rt.policy:transport = APPLIED" in payload.decode()
+
+    def test_silent_session_outlives_the_io_timeout(self, monkeypatch):
+        # the controller sends nothing between START and STOP for a whole run
+        monkeypatch.setattr(control, "_IO_TIMEOUT", 0.5)
+        cfg = self.agent_config()
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        with runner.make_agent(listen, [cfg]) as agent:
+            client = ControlClient(agent.listen)
+            client.hello()
+            client.start(cfg.id)
+            time.sleep(1.5)
+            probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            with pytest.raises(OSError):
+                probe.bind((cfg.ping.address, cfg.ping.port))  # still echoing
+            probe.close()
+            payload = client.stop()
+            client.close()
+        assert "server.echoed = 0" in payload.decode()
+
+    def test_close_stops_a_held_session(self):
+        cfg = self.agent_config()
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        agent = runner.make_agent(listen, [cfg])
+        client = ControlClient(agent.listen)
+        try:
+            client.hello()
+            client.start(cfg.id)
+            agent.close()
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("ping-")]
+            s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            s.bind((cfg.ping.address, cfg.ping.port))  # raises if still held
+            s.close()
+        finally:
+            client.close()
+            agent.close()
 
     def test_unreachable_agent_is_distinct_diagnostic(self):
         dead = Endpoint("127.0.0.1", free_udp_port())

@@ -163,7 +163,9 @@ class TestReassembler:
         out = self.offer_all(r, encode(msg(seq=6, size=5000), 1400))
         assert [m.seq for m in out] == [6]
         assert r.incomplete == 1
-        assert r.pending_count() == 0
+        # seq 5 left nothing pending: its late fragment is stale, not held
+        assert r.offer(decode(encode(msg(seq=5, size=5000), 1400)[1])) is None
+        assert (r.incomplete, r.stale_frames) == (1, 1)
 
     def test_timeout_expires_incomplete_message(self):
         now = [0]
@@ -197,8 +199,10 @@ class TestReassembler:
         for seq in range(5):
             first = encode(msg(seq=seq, size=5000), 1400)[0]
             r.offer(decode(first))
-        assert r.pending_count() == 4
         assert r.incomplete == 1  # seq 0 evicted
+        # seqs 1..4 are still held: completing seq 4 discards the other three
+        assert self.offer_all(r, encode(msg(seq=4, size=5000), 1400)[1:])[0].seq == 4
+        assert r.incomplete == 4
 
 
 @pytest.mark.parametrize("max_datagram", [64, 512, 1400, 9000])
