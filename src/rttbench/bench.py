@@ -271,24 +271,24 @@ class CycleClient:
 def run_client(cfg: CycleConfig, ping_remote: pubsub.Endpoint,
                pong_local: pubsub.Endpoint, qos: pubsub.QosProfile, *,
                warmup_ns: int = 0, max_datagram: int = wire.DEFAULT_MAX_DATAGRAM,
-               cycle_thread_init=None,
-               transport_thread_init=None) -> ClientResult:
+               thread_init=None) -> ClientResult:
     """Run the ping-pong client over UDP and return samples plus counters.
 
     The cycle loop runs on a dedicated thread (the caller's thread stays
-    out of the hot path); `cycle_thread_init` / `transport_thread_init`
-    run first on the respective threads to apply scheduling settings.
+    out of the hot path); `thread_init(role)` runs first on it with role
+    "cycle", and on the pong subscriber's threads with their own roles,
+    to apply scheduling settings.
     """
     transport = UdpPingTransport(ping_remote, pong_local, qos,
                                  max_datagram=max_datagram,
-                                 thread_init=transport_thread_init)
+                                 thread_init=thread_init)
     client = CycleClient(cfg, transport, warmup_ns=warmup_ns)
     result_box: list = []
 
     def _cycle():
         try:
-            if cycle_thread_init:
-                cycle_thread_init("cycle")
+            if thread_init:
+                thread_init("cycle")
             result_box.append(client.run())
         except BaseException as exc:  # surfaced to the caller below
             result_box.append(exc)

@@ -66,7 +66,8 @@ def _cmd_server(args) -> int:
     print(f"[{cfg.id}] echo server on {cfg.ping}, replying to {cfg.pong} "
           "(Ctrl-C to stop)", flush=True)
     stop.wait()
-    stats = session.close()
+    session.close()
+    stats = session.server_stats
     print(f"echoed {stats.echoed}, malformed {stats.malformed}")
     return 0
 

@@ -12,11 +12,11 @@ Commands are single UTF-8 lines, LF-terminated:
 
 The agent owns the server-side resources of one experiment at a time
 (RT profile, stress, traffic sink, echo server); a START while a session
-is running is refused, and STOP tears the session down and returns its
-statistics and RT outcomes as the RESULT payload. The controller sends
-nothing between START and STOP, so a held session has no read timeout;
-it ends at STOP, when the controller disconnects, or at the agent's
-close().
+is running is refused, and STOP tears the session down and returns the
+`rt.*`, `traffic.*`, `sink.*` and `server.*` lines a local run writes to
+result.meta as the RESULT payload. The controller sends nothing between
+START and STOP, so a held session has no read timeout; it ends at STOP,
+when the controller disconnects, or at the agent's close().
 """
 
 import socket
@@ -123,7 +123,8 @@ class ControlAgent:
 
 
 class ControlClient:
-    """Controller side; connection failure raises PeerUnreachableError."""
+    """Controller side; connection failure raises PeerUnreachableError, and
+    every later failure (reset, timeout, bad reply) ControlProtocolError."""
 
     def __init__(self, agent: Endpoint, timeout: float = 5.0):
         try:
@@ -135,8 +136,11 @@ class ControlClient:
         self._reader = self._sock.makefile("rb")
 
     def _command(self, line: str) -> str:
-        self._sock.sendall(line.encode() + b"\n")
-        reply = self._reader.readline()
+        try:
+            self._sock.sendall(line.encode() + b"\n")
+            reply = self._reader.readline()
+        except OSError as exc:
+            raise ControlProtocolError(f"{line.split()[0]}: {exc}") from exc
         if not reply:
             raise ControlProtocolError("agent closed the connection")
         return reply.decode("utf-8", "replace").strip()
@@ -155,8 +159,11 @@ class ControlClient:
         reply = self._command("STOP")
         if not reply.startswith("RESULT "):
             raise ControlProtocolError(f"expected RESULT, got {reply!r}")
-        length = int(reply.split(" ", 1)[1])
-        payload = self._reader.read(length)
+        try:
+            length = int(reply.split(" ", 1)[1])
+            payload = self._reader.read(length)
+        except (ValueError, OSError) as exc:
+            raise ControlProtocolError(f"RESULT: {exc}") from exc
         if payload is None or len(payload) != length:
             raise ControlProtocolError("short RESULT payload")
         return payload

@@ -58,13 +58,6 @@ class Endpoint:
         return f"{self.address}:{self.port}"
 
 
-@dataclass(frozen=True)
-class SendReport:
-    datagrams: int
-    bytes: int
-    errors: int
-
-
 class Publisher:
     """Sends messages on one topic to one remote endpoint.
 
@@ -75,10 +68,8 @@ class Publisher:
     def __init__(self, topic_id: int, remote: Endpoint, *,
                  max_datagram: int = wire.DEFAULT_MAX_DATAGRAM):
         self.topic_id = topic_id
-        self.remote = remote
         self.max_datagram = max_datagram
         self.datagrams_sent = 0
-        self.bytes_sent = 0
         self.send_errors = 0
         self._dest = (remote.address, remote.port)
         try:
@@ -88,21 +79,15 @@ class Publisher:
             raise TransportError(f"publisher socket: {exc}") from exc
         self._closed = False
 
-    def publish(self, msg: wire.Message) -> SendReport:
+    def publish(self, msg: wire.Message) -> None:
         if msg.topic_id != self.topic_id:
             raise ValueError(f"message topic {msg.topic_id} != publisher topic {self.topic_id}")
-        sent = errors = nbytes = 0
         for datagram in wire.encode(msg, self.max_datagram):
             try:
                 self._sock.sendto(datagram, self._dest)
-                sent += 1
-                nbytes += len(datagram)
+                self.datagrams_sent += 1
             except OSError:
-                errors += 1
-        self.datagrams_sent += sent
-        self.bytes_sent += nbytes
-        self.send_errors += errors
-        return SendReport(sent, nbytes, errors)
+                self.send_errors += 1
 
     def close(self):
         if not self._closed:

@@ -82,11 +82,11 @@ class AppliedReport:
     """One outcome per requested setting, with read-back effective values."""
 
     settings: dict = field(default_factory=dict)
+    _undo: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
-    def record(self, name: str, outcome: Outcome, effective: str = "") -> SettingResult:
-        result = SettingResult(outcome, effective)
-        self.settings[name] = result
-        return result
+    def record(self, name: str, outcome: Outcome, effective: str = "") -> None:
+        self.settings[name] = SettingResult(outcome, effective)
 
     def first_failure(self):
         for name, r in self.settings.items():
@@ -94,8 +94,10 @@ class AppliedReport:
                 return name, r
         return None
 
-    def items(self):
-        return self.settings.items()
+    def undo(self) -> None:
+        """Put back what apply() changed, newest first; idempotent."""
+        while self._undo:
+            self._undo.pop()()
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,7 @@ def _apply_memory_lock(report: AppliedReport) -> None:
         err = ctypes.get_errno()
         report.record("lock_memory", Outcome.DENIED, os.strerror(err))
         return
+    report._undo.append(libc.munlockall)
     report.record("lock_memory", Outcome.APPLIED, f"VmLck={_vm_locked_kb()}kB")
 
 
@@ -198,7 +201,7 @@ def _apply_kernel_thread_prio(report: AppliedReport, name: str, pattern: str,
     """Set SCHED_FIFO/prio on every matching kernel thread, transactionally.
 
     On any failure the threads already changed are restored, so a DENIED
-    setting leaves the system as it was.
+    setting leaves the system as it was; `report.undo()` restores them all.
     """
     pids = _kernel_threads(pattern)
     if not pids:
@@ -219,6 +222,7 @@ def _apply_kernel_thread_prio(report: AppliedReport, name: str, pattern: str,
         _restore(saved)
         report.record(name, Outcome.UNSUPPORTED, str(exc))
         return
+    report._undo.append(lambda: _restore(saved))
     effective = ",".join(
         f"{pid}:{os.sched_getparam(pid).sched_priority}" for pid, _, _ in saved)
     report.record(name, Outcome.APPLIED, effective)
@@ -240,8 +244,8 @@ def apply(profile: RtProfile, *, strict: bool = False,
     Thread priorities are applied by each thread on startup via
     apply_current_thread; memory locking runs here, before the benchmark
     allocates its sample storage. In strict mode the first setting that
-    is not APPLIED raises RtApplyError (prior settings stay as applied:
-    transactionality is per setting, not per profile).
+    is not APPLIED raises RtApplyError, after undoing the settings
+    already applied; otherwise the caller owns `report.undo()`.
     """
     report = AppliedReport()
     if profile.lock_memory:
@@ -263,6 +267,7 @@ def _check_strict(report: AppliedReport, strict: bool) -> None:
         return
     failure = report.first_failure()
     if failure is not None:
+        report.undo()
         name, result = failure
         raise RtApplyError(name, result.outcome.value, result.effective)
 

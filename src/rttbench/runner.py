@@ -22,10 +22,12 @@ Unknown keys are errors. Every run follows the same sequence: apply the
 RT profile, start stress, start the echo side and traffic, warm up,
 measure, then tear down in reverse order; results land atomically in the
 output directory (`result.meta`, `timeseries.csv`, `report.md` per run).
-A `Session` starts this host's share of that sequence, for `run`, the
-control agent and `rtt-bench server` alike.
+A `Session` starts and undoes this host's share of that sequence, for
+`run`, the control agent and `rtt-bench server` alike, and writes the
+host's lines of `result.meta`, which are also the control agent's RESULT.
 """
 
+import contextlib
 import dataclasses
 import os
 import shutil
@@ -36,9 +38,9 @@ from pathlib import Path
 
 from . import rtconfig
 from .bench import CycleConfig, EchoServer, ServerStats, run_client
-from .control import ControlAgent, ControlClient
+from .control import ControlAgent, ControlClient, ControlProtocolError
 from .errors import ConfigError, RtApplyError, RttBenchError
-from .loadgen import (CbrSink, CbrSpec, StressHandle, StressSpec, start_cbr,
+from .loadgen import (CbrSink, CbrSpec, StressSpec, TrafficHandle, start_cbr,
                       start_stress)
 from .metrics import LatencyStats, compute_stats, export_timeseries
 from .pubsub import Endpoint, QosProfile
@@ -87,14 +89,11 @@ class ExperimentConfig:
 class RunResult:
     config: ExperimentConfig
     stats: LatencyStats
-    rt_report: AppliedReport | None = None
     counters: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
     timeseries_path: Path | None = None
-    achieved_send_bps: float | None = None
-    achieved_sink_bps: float | None = None
     server_stats: ServerStats | None = None
-    agent: dict = field(default_factory=dict)  # the control agent's RESULT
+    host_lines: list = field(default_factory=list)  # Session.lines()
     samples: list = field(default_factory=list)  # not persisted in the meta file
 
 
@@ -329,27 +328,28 @@ def _build_config(experiment_id, section_line, values):
 class Session:
     """Everything one experiment starts on this host besides the client.
 
-    In order: the strict-RT check and the process-wide RT profile, stress,
-    and for a role with an echo half (server, both-loopback) the CBR sink
-    when traffic is configured, then the echo server. `hooks` apply the
-    profile to each benchmark thread and record its outcome in
-    `rt_report`. A step that fails closes what was already started;
-    `close()` tears down in reverse order and returns the echo server's
-    statistics (None without an echo half).
+    In order: the strict-RT check and the process-wide RT profile, stress;
+    for a role with an echo half (server, both-loopback) the CBR sink when
+    traffic is configured, then the echo server; for a client with a
+    control agent the agent's session; for a sending role (client,
+    both-loopback) the CBR traffic. Each step puts its teardown on one
+    ExitStack as it starts; a failed step and `close()` unwind it in
+    reverse, the RT profile last. `thread_init` applies the profile to each
+    benchmark thread and records its outcome in `rt_report`. A failed STOP
+    becomes the line `agent.error`.
     """
 
     def __init__(self, cfg: ExperimentConfig, *, strict: bool = False, event=None):
         self.cfg = cfg
         self._event = event or (lambda name: None)
         self._lock = threading.Lock()
+        self._stack = contextlib.ExitStack()
         self.rt_report: AppliedReport | None = None
-        self.stress: StressHandle | None = None
-        self.sink: CbrSink | None = None
-        self.server: EchoServer | None = None
-        self.hooks = {} if cfg.rt is None else {
-            "cycle_thread_init": self._thread_init,
-            "transport_thread_init": self._thread_init,
-        }
+        self._sink: CbrSink | None = None
+        self._traffic: TrafficHandle | None = None
+        self._agent_lines: list[str] = []  # set when the agent's session stops
+        self.server_stats: ServerStats | None = None  # set when the echo server stops
+        self.thread_init = None if cfg.rt is None else self._thread_init
         try:
             self._start(strict or cfg.rt_strict)
         except BaseException:
@@ -357,7 +357,7 @@ class Session:
             raise
 
     def _start(self, strict: bool):
-        cfg = self.cfg
+        cfg, stack = self.cfg, self._stack
         if cfg.rt is not None:
             if strict and cfg.rt.app_policy is SchedPolicy.FIFO \
                     and not rtconfig.probe().fifo:
@@ -365,16 +365,29 @@ class Session:
             self.rt_report = rtconfig.apply(cfg.rt, strict=strict,
                                             eth_irq_pattern=cfg.eth_irq_pattern,
                                             softirq_pattern=cfg.softirq_pattern)
+            stack.callback(self.rt_report.undo)
             self._event("rt_applied")
         if cfg.stress is not None:
-            self.stress = start_stress(cfg.stress)
+            stack.callback(self._event, "stress_stopped")
+            stack.enter_context(start_stress(cfg.stress))
             self._event("stress_started")
         if cfg.role != "client":
             if cfg.traffic is not None:
-                self.sink = CbrSink(cfg.traffic.dest)
-            self.server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
-                                     max_datagram=cfg.max_datagram,
-                                     thread_init=self.hooks.get("transport_thread_init"))
+                self._sink = stack.enter_context(CbrSink(cfg.traffic.dest))
+            server = EchoServer(cfg.ping, cfg.pong, cfg.qos,
+                                max_datagram=cfg.max_datagram,
+                                thread_init=self.thread_init)
+            stack.callback(self._stop_server, server)
+        if cfg.role == "client" and cfg.control_agent is not None:
+            controller = stack.enter_context(ControlClient(cfg.control_agent))
+            controller.hello()
+            controller.start(cfg.id)
+            stack.callback(self._stop_agent, controller)
+        if cfg.role != "server" and cfg.traffic is not None:
+            self._traffic = start_cbr(cfg.traffic)
+            stack.callback(self._event, "traffic_stopped")
+            stack.callback(self._traffic.stop)
+            self._event("traffic_started")
 
     def _thread_init(self, role: str):
         kind = "cycle" if role == "cycle" else "transport"
@@ -382,26 +395,53 @@ class Session:
         with self._lock:
             self.rt_report.settings.setdefault(f"policy:{kind}", result)
 
-    def close(self) -> ServerStats | None:
-        stats = self.server.close() if self.server is not None else None
-        if self.sink is not None:
-            self.sink.close()
-        if self.stress is not None:
-            self.stress.stop()
-            self._event("stress_stopped")
-        return stats
+    def _stop_server(self, server: EchoServer):
+        self.server_stats = server.close()
+
+    def _stop_agent(self, controller: ControlClient):
+        try:
+            payload = controller.stop().decode("utf-8", "replace")
+        except ControlProtocolError as exc:
+            self._agent_lines = [f"agent.error = {exc}"]
+            return
+        self._agent_lines = [f"agent.{line.strip()}" for line in payload.splitlines()
+                            if "=" in line]
+
+    def close(self) -> None:
+        """Idempotent; everything the session started is gone when this returns."""
+        self._stack.close()
+
+    def lines(self) -> list[str]:
+        """This host's `rt.*`, `traffic.*`, `sink.*`, `server.*` and `agent.*`
+        lines of result.meta; complete once `close()` has returned."""
+        lines = []
+        if self.rt_report is not None:
+            lines += [f"rt.{name} = {res.outcome.value} {res.effective}".rstrip()
+                      for name, res in sorted(self.rt_report.settings.items())]
+        if self._traffic is not None:
+            send_bps = self._traffic.report().achieved_bps
+            lines.append(f"traffic.achieved_send_bps = {send_bps:.0f}")
+        if self._sink is not None:
+            lines += [f"traffic.achieved_sink_bps = {self._sink.achieved_bps():.0f}",
+                      f"sink.packets = {self._sink.packets}",
+                      f"sink.bytes = {self._sink.bytes}",
+                      f"sink.lost = {self._sink.lost()}"]
+        if self.server_stats is not None:
+            lines += [f"server.echoed = {self.server_stats.echoed}",
+                      f"server.malformed = {self.server_stats.malformed}"]
+        return lines + self._agent_lines
 
 
 def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
         stop: threading.Event | None = None) -> RunResult:
     """Run one experiment end to end and persist its result.
 
-    Sequence: apply RT profile -> start stress -> start the echo side (a
-    client's is the control agent's session, when one is configured) ->
-    start traffic -> warm-up -> measurement -> teardown in reverse order.
-    A strict-RT failure aborts before anything else starts; teardown
-    always runs. The server role echoes until `stop` is set or the
-    client's run plus a grace period has passed.
+    The Session starts this host's share (RT profile, stress, the echo
+    side or the control agent's session, traffic), then comes the warm-up
+    and measurement, then `session.close()` tears it all down in reverse
+    order. A strict-RT failure aborts before anything else starts. The
+    server role echoes until `stop` is set or the client's run plus a
+    grace period has passed.
     """
     events: list = []
 
@@ -410,11 +450,7 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
 
     ev("run_start")
     session = Session(cfg, strict=strict_rt, event=ev)
-    traffic_handle = None
-    traffic_report = None
-    controller = None
     client_result = None
-    agent: dict = {}
     try:
         if cfg.role == "server":
             grace_ns = cfg.warmup_ns + cfg.cycle.duration_ns + 10_000_000_000
@@ -422,41 +458,24 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
             (stop or threading.Event()).wait(grace_ns / 1e9)
             ev("measure_ended")
         else:
-            if cfg.role == "client" and cfg.control_agent is not None:
-                controller = ControlClient(cfg.control_agent)
-                controller.hello()
-                controller.start(cfg.id)
-            if cfg.traffic is not None:
-                traffic_handle = start_cbr(cfg.traffic)
-                ev("traffic_started")
             ev("warmup_started")
             client_result = run_client(
                 cfg.cycle, cfg.ping, cfg.pong, cfg.qos,
-                warmup_ns=cfg.warmup_ns,
-                max_datagram=cfg.max_datagram, **session.hooks)
+                warmup_ns=cfg.warmup_ns, max_datagram=cfg.max_datagram,
+                thread_init=session.thread_init)
             events.append(("measure_started", client_result.measure_start_ns))
             events.append(("measure_ended", client_result.measure_end_ns))
-            if controller is not None:
-                agent = _parse_key_values(controller.stop().decode())
     finally:
-        if controller is not None:
-            controller.close()
-        if traffic_handle is not None:
-            traffic_report = traffic_handle.stop()
-            ev("traffic_stopped")
-        server_stats = session.close()
+        session.close()
 
     samples = client_result.samples if client_result else []
     result = RunResult(
         config=cfg,
         stats=compute_stats(samples),
-        rt_report=session.rt_report,
         counters=dataclasses.asdict(client_result.counters) if client_result else {},
         events=events,
-        achieved_send_bps=traffic_report.achieved_bps if traffic_report else None,
-        achieved_sink_bps=session.sink.achieved_bps() if session.sink else None,
-        server_stats=server_stats,
-        agent=agent,
+        server_stats=session.server_stats,
+        host_lines=session.lines(),
         samples=samples,
     )
     out = output_dir or cfg.output_dir
@@ -467,13 +486,6 @@ def run(cfg: ExperimentConfig, *, output_dir=None, strict_rt: bool = False,
 
 # --------------------------------------------------------------------------
 # Result persistence
-
-
-def _rt_lines(report: AppliedReport | None) -> list[str]:
-    if report is None:
-        return []
-    return [f"rt.{name} = {res.outcome.value} {res.effective}".rstrip()
-            for name, res in sorted(report.items())]
 
 
 def _parse_key_values(text: str) -> dict:
@@ -510,20 +522,10 @@ def _meta_lines(result: RunResult) -> list[str]:
         f"stats.total = {stats.total}",
         "stats.histogram = " + ",".join(str(n) for n in stats.histogram),
     ]
-    lines += _rt_lines(result.rt_report)
-    for key in sorted(result.counters):
-        lines.append(f"counters.{key} = {result.counters[key]}")
-    if result.achieved_send_bps is not None:
-        lines.append(f"traffic.achieved_send_bps = {result.achieved_send_bps:.0f}")
-    if result.achieved_sink_bps is not None:
-        lines.append(f"traffic.achieved_sink_bps = {result.achieved_sink_bps:.0f}")
-    if result.server_stats is not None:
-        lines.append(f"server.echoed = {result.server_stats.echoed}")
-        lines.append(f"server.malformed = {result.server_stats.malformed}")
-    for key, value in result.agent.items():
-        lines.append(f"agent.{key} = {value}")
-    for name, t_ns in result.events:
-        lines.append(f"event.{name} = {t_ns}")
+    lines += [f"counters.{key} = {value}"
+              for key, value in sorted(result.counters.items())]
+    lines += result.host_lines
+    lines += [f"event.{name} = {t_ns}" for name, t_ns in result.events]
     lines.append(f"timeseries = {TIMESERIES_CSV}")
     return lines
 
@@ -616,15 +618,8 @@ def make_agent(listen: Endpoint, matrix: list[ExperimentConfig]) -> ControlAgent
         session = Session(dataclasses.replace(by_id[experiment_id], role="server"))
 
         def stop() -> bytes:
-            stats = session.close()
-            lines = [f"server.echoed = {stats.echoed}",
-                     f"server.malformed = {stats.malformed}"]
-            if session.sink is not None:
-                lines.append(f"sink.packets = {session.sink.packets}")
-                lines.append(f"sink.bytes = {session.sink.bytes}")
-                lines.append(f"sink.lost = {session.sink.lost()}")
-            lines += _rt_lines(session.rt_report)
-            return ("\n".join(lines) + "\n").encode()
+            session.close()
+            return ("\n".join(session.lines()) + "\n").encode()
         return stop
 
     return ControlAgent(listen, start_session)

@@ -38,8 +38,8 @@ MAX_PAYLOAD = 131072
 
 #: Default time an incomplete message may wait for missing fragments.
 REASSEMBLY_TIMEOUT_NS = 100_000_000
-#: In-progress message cap per topic; the oldest seq is evicted beyond this.
-MAX_PENDING_PER_TOPIC = 4
+#: In-progress message cap; the oldest seq is evicted beyond this.
+MAX_PENDING = 4
 
 
 class FrameKind(IntEnum):
@@ -155,24 +155,25 @@ class _Pending:
 
 
 class Reassembler:
-    """Rebuilds messages from frames arriving out of order or with gaps.
+    """Rebuilds one topic's messages from frames arriving out of order or with gaps.
 
-    Confined to one receive thread. A message is emitted exactly once, when
-    all of its fragments are held. Incomplete messages are discarded when a
-    newer seq on the same topic completes, when the per-message timeout
-    expires, or when the per-topic pending cap evicts the oldest seq.
-    Frames at or below the topic's last emitted seq are stale and ignored,
-    so duplicated datagrams can never produce a duplicate message.
+    Confined to one receive thread, which drops other topics' frames
+    before `offer`. A message is emitted exactly once, when all of its
+    fragments are held. Incomplete messages are discarded when a newer
+    seq completes, when the per-message timeout expires, or when the
+    pending cap evicts the oldest seq. Frames at or below the last
+    emitted seq are stale and ignored, so duplicated datagrams can never
+    produce a duplicate message.
     """
 
     def __init__(self, timeout_ns: int = REASSEMBLY_TIMEOUT_NS,
-                 max_pending: int = MAX_PENDING_PER_TOPIC,
+                 max_pending: int = MAX_PENDING,
                  clock=time.monotonic_ns):
         self._timeout_ns = timeout_ns
         self._max_pending = max_pending
         self._clock = clock
-        self._pending: dict[tuple[int, int], _Pending] = {}
-        self._floor: dict[int, int] = {}  # topic -> last emitted seq
+        self._pending: dict[int, _Pending] = {}  # seq -> fragments so far
+        self._floor = -1  # last emitted seq
         self.incomplete = 0
         self.stale_frames = 0
         self.duplicate_frames = 0
@@ -182,20 +183,21 @@ class Reassembler:
         now = self._clock()
         self._expire(now)
 
-        floor = self._floor.get(frame.topic_id)
-        if floor is not None and frame.seq <= floor:
+        seq = frame.seq
+        if seq <= self._floor:
             self.stale_frames += 1
             return None
 
         if frame.kind == FrameKind.DATA:
-            return self._complete(frame.topic_id, frame.seq, frame.chunk)
+            return self._complete(frame.topic_id, seq, frame.chunk)
 
-        key = (frame.topic_id, frame.seq)
-        entry = self._pending.get(key)
+        entry = self._pending.get(seq)
         if entry is None:
-            self._evict_for(frame.topic_id)
+            if len(self._pending) >= self._max_pending:
+                del self._pending[min(self._pending)]
+                self.incomplete += 1
             entry = _Pending(frame.frag_count, frame.payload_len, now)
-            self._pending[key] = entry
+            self._pending[seq] = entry
         elif (entry.frag_count != frame.frag_count
               or entry.payload_len != frame.payload_len):
             self.inconsistent_frames += 1
@@ -209,31 +211,24 @@ class Reassembler:
         if len(entry.chunks) < entry.frag_count:
             return None
         payload = b"".join(entry.chunks[i] for i in range(entry.frag_count))
-        del self._pending[key]
+        del self._pending[seq]
         if len(payload) != entry.payload_len:
             self.inconsistent_frames += 1
             return None
-        return self._complete(frame.topic_id, frame.seq, payload)
+        return self._complete(frame.topic_id, seq, payload)
 
     def reap(self) -> None:
         """Expire timed-out pending messages; called on idle receive ticks."""
         self._expire(self._clock())
 
     def _complete(self, topic_id: int, seq: int, payload: bytes) -> Message:
-        # A completed seq retires every older in-progress message on the topic.
-        dropped = [k for k in self._pending if k[0] == topic_id and k[1] < seq]
+        # A completed seq retires every older in-progress message.
+        dropped = [k for k in self._pending if k < seq]
         for k in dropped:
             del self._pending[k]
         self.incomplete += len(dropped)
-        self._floor[topic_id] = seq
+        self._floor = seq
         return Message(topic_id, seq, payload)
-
-    def _evict_for(self, topic_id: int) -> None:
-        keys = [k for k in self._pending if k[0] == topic_id]
-        if len(keys) >= self._max_pending:
-            oldest = min(keys, key=lambda k: k[1])
-            del self._pending[oldest]
-            self.incomplete += 1
 
     def _expire(self, now: int) -> None:
         expired = [k for k, e in self._pending.items()

@@ -77,9 +77,11 @@ class TestPublisher:
     def test_publish_reports_datagram_count(self, endpoint_pair):
         remote, _ = endpoint_pair
         with Publisher(1, remote) as pub:
-            assert pub.publish(Message(1, 0, pattern_payload(0, 500))).datagrams == 1
-            assert pub.publish(Message(1, 1, pattern_payload(1, 32768))).datagrams == 24
-            assert pub.publish(Message(1, 2, b"")).datagrams == 1
+            counts = []
+            for seq, size in enumerate((500, 32768, 0)):
+                pub.publish(Message(1, seq, pattern_payload(seq, size)))
+                counts.append(pub.datagrams_sent)
+        assert counts == [1, 25, 26]  # grew by 1, 24 and 1
 
     def test_topic_mismatch_rejected(self, endpoint_pair):
         remote, _ = endpoint_pair

@@ -101,6 +101,7 @@ class TestApply:
     @pytest.mark.skipif(os.geteuid() != 0, reason="memory locking needs privilege")
     def test_memory_lock_applied_with_readback(self):
         report = apply(RtProfile(lock_memory=True))
+        report.undo()  # the lock would outlive the test
         result = report.settings["lock_memory"]
         assert result.outcome is Outcome.APPLIED
         assert "VmLck=" in result.effective

@@ -1,7 +1,11 @@
 """Matrix loading, orchestration sequence, reports, control protocol."""
 
 import multiprocessing
+import os
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -15,7 +19,7 @@ from rttbench.errors import ConfigError, PeerUnreachableError, RtApplyError
 from rttbench.loadgen import CbrSpec, StressSpec
 from rttbench.metrics import LatencyStats, compute_stats, import_timeseries
 from rttbench.pubsub import Endpoint, QosProfile
-from rttbench.rtconfig import RtProfile, SchedPolicy
+from rttbench.rtconfig import Outcome, RtProfile, SchedPolicy, probe
 from rttbench.runner import (
     ExperimentConfig,
     format_stats_row,
@@ -39,6 +43,52 @@ cycle.payload = 500
 endpoints.ping = 127.0.0.1:17101
 endpoints.pong = 127.0.0.1:17102
 """
+
+
+#: the result.meta keys of every run, and of every run with a cycle client
+META_KEYS = {
+    "schema", "id", "role", "cycle.period_ms", "cycle.deadline_ms",
+    "cycle.loss_timeout_ms", "cycle.duration_s", "cycle.payload", "warmup_s",
+    "qos.depth", "stats.min_us", "stats.avg_us", "stats.max_us", "stats.p99_us",
+    "stats.p999_us", "stats.missed", "stats.lost", "stats.total",
+    "stats.histogram", "timeseries", "event.run_start", "event.measure_started",
+    "event.measure_ended"}
+CLIENT_KEYS = META_KEYS | {
+    "counters.stale_replies", "counters.payload_mismatches",
+    "counters.send_errors", "counters.skipped_cycles", "counters.warmup_samples",
+    "counters.wakeup_jitter_max_us", "counters.wakeup_jitter_avg_us",
+    "event.warmup_started"}
+SEND_KEYS = {"traffic.achieved_send_bps", "event.traffic_started",
+             "event.traffic_stopped"}
+SINK_KEYS = {"traffic.achieved_sink_bps", "sink.packets", "sink.bytes", "sink.lost"}
+ECHO_KEYS = {"server.echoed", "server.malformed"}
+
+
+def meta_values(run_dir):
+    text = (run_dir / "result.meta").read_text()
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def fake_agent(reset_on_start: bool) -> Endpoint:
+    """A one-shot control agent that answers HELLO, then on START either
+    resets the connection or answers STARTED and closes it before STOP."""
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = server.accept()
+        server.close()
+        with conn, conn.makefile("rb") as reader:
+            reader.readline()
+            conn.sendall(b"HELLO\n")
+            reader.readline()
+            if reset_on_start:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+            else:
+                conn.sendall(b"STARTED\n")
+
+    threading.Thread(target=serve, daemon=True).start()
+    return Endpoint("127.0.0.1", server.getsockname()[1])
 
 
 def write_matrix(tmp_path, text):
@@ -281,6 +331,45 @@ class TestRunOrchestration:
         assert "traffic.achieved_sink_bps = " in meta
         assert "traffic.achieved_send_bps" not in meta
 
+    def test_result_meta_key_sets(self, tmp_path):
+        loop = quick_config(id="loop", rt=RtProfile(),
+                            stress=StressSpec(cpu_workers=1),
+                            traffic=CbrSpec(2_000_000, loopback_endpoint()))
+        runner.run(loop, output_dir=tmp_path)
+        assert set(meta_values(tmp_path / "loop")) == (
+            CLIENT_KEYS | SEND_KEYS | SINK_KEYS | ECHO_KEYS
+            | {"rt.policy:cycle", "rt.policy:transport", "event.rt_applied",
+               "event.stress_started", "event.stress_stopped"})
+
+        server = quick_config(role="server", id="server",
+                              traffic=CbrSpec(2_000_000, loopback_endpoint()))
+        stop = threading.Event()
+        threading.Timer(0.3, stop.set).start()
+        runner.run(server, output_dir=tmp_path, stop=stop)
+        assert set(meta_values(tmp_path / "server")) == \
+            META_KEYS | SINK_KEYS | ECHO_KEYS
+
+        ping, pong = loopback_endpoint(), loopback_endpoint()
+        traffic = CbrSpec(2_000_000, loopback_endpoint())
+        served = quick_config(role="server", id="agent", ping=ping, pong=pong,
+                              traffic=traffic)
+        with runner.make_agent(Endpoint("127.0.0.1", free_udp_port()),
+                               [served]) as agent:
+            runner.run(quick_config(role="client", id="agent", ping=ping,
+                                    pong=pong, traffic=traffic,
+                                    control_agent=agent.listen),
+                       output_dir=tmp_path)
+        assert set(meta_values(tmp_path / "agent")) == (
+            CLIENT_KEYS | SEND_KEYS
+            | {f"agent.{key}" for key in SINK_KEYS | ECHO_KEYS})
+
+        dropped = quick_config(role="client", id="dropped",
+                               traffic=CbrSpec(2_000_000, loopback_endpoint()),
+                               control_agent=fake_agent(reset_on_start=False))
+        runner.run(dropped, output_dir=tmp_path)
+        assert set(meta_values(tmp_path / "dropped")) == \
+            CLIENT_KEYS | SEND_KEYS | {"agent.error"}
+
     def test_report_rendering_from_stored_results(self, tmp_path):
         cfg = quick_config()
         result = runner.run(cfg, output_dir=tmp_path)
@@ -422,13 +511,31 @@ class TestControlProtocol:
             result = runner.run(client_cfg, output_dir=tmp_path)
         assert result.stats.total > 0
         assert result.stats.lost == 0
-        meta = (tmp_path / client_cfg.id / "result.meta").read_text()
-        values = dict(line.split(" = ", 1) for line in meta.splitlines())
+        values = meta_values(tmp_path / client_cfg.id)
         echoed = int(values["agent.server.echoed"])
         assert echoed >= result.stats.total - result.stats.lost
         # the agent's sink is bound before the first CBR packet leaves
         assert int(values["agent.sink.packets"]) > 0
         assert values["agent.sink.lost"] == "0"
+
+    def test_failed_stop_keeps_the_measured_run(self, tmp_path):
+        cfg = quick_config(role="client",
+                           control_agent=fake_agent(reset_on_start=False))
+        result = runner.run(cfg, output_dir=tmp_path)
+        run_dir = tmp_path / cfg.id
+        assert len(import_timeseries(run_dir / "timeseries.csv")) == \
+            result.stats.total > 0
+        values = meta_values(run_dir)
+        assert "closed the connection" in values["agent.error"]
+        assert [k for k in values if k.startswith("agent.")] == ["agent.error"]
+
+    def test_agent_reset_is_a_protocol_error(self, tmp_path):
+        cfg = quick_config(role="client", stress=StressSpec(cpu_workers=1),
+                           control_agent=fake_agent(reset_on_start=True))
+        with pytest.raises(ControlProtocolError):
+            runner.run(cfg, output_dir=tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / cfg.id).exists()
 
     def test_unreachable_agent_aborts_client_run(self, tmp_path):
         cfg = quick_config(role="client",
@@ -444,3 +551,77 @@ def test_socket_ports_released_after_run(tmp_path):
         s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         s.bind((ep.address, ep.port))  # raises if the run leaked the socket
         s.close()
+
+
+#: a child renames itself and waits, so it can stand in for a kernel thread
+_RENAMED_CHILD = ("import ctypes, sys, time; "
+                  "ctypes.CDLL(None).prctl(15, sys.argv[1].encode()); "
+                  "print('ready', flush=True); time.sleep(60)")
+
+
+@pytest.fixture
+def renamed_child():
+    """(pid, pattern) of a child process whose name only its pattern matches."""
+    if not probe().fifo:
+        pytest.skip("SCHED_FIFO unavailable")
+    name = f"rttbundo{os.getpid() % 1_000_000}"
+    child = subprocess.Popen([sys.executable, "-c", _RENAMED_CHILD, name],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline().strip() == "ready"
+        yield child.pid, f"^{name}$"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+
+
+def sched_of(pid):
+    return os.sched_getscheduler(pid), os.sched_getparam(pid).sched_priority
+
+
+def vm_locked_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmLck:"))
+
+
+class TestSessionUndoesRt:
+    def test_kernel_thread_priority_restored_on_close(self, renamed_child):
+        pid, pattern = renamed_child
+        before = sched_of(pid)
+        session = runner.Session(quick_config(
+            role="client", eth_irq_pattern=pattern,
+            rt=RtProfile(app_policy=SchedPolicy.OTHER, eth_irq_prio=90)))
+        try:
+            if session.rt_report.settings["eth_irq"].outcome is not Outcome.APPLIED:
+                pytest.skip("SCHED_FIFO denied for another process")
+            assert sched_of(pid) == (os.SCHED_FIFO, 90)
+        finally:
+            session.close()
+        assert sched_of(pid) == before
+
+    def test_strict_failure_undoes_what_it_applied(self, renamed_child):
+        pid, pattern = renamed_child
+        before = sched_of(pid)
+        cfg = quick_config(role="client", rt_strict=True,
+                           eth_irq_pattern=pattern, softirq_pattern=NO_MATCH,
+                           rt=RtProfile(app_policy=SchedPolicy.OTHER,
+                                        eth_irq_prio=90, softirq_worker_prio=60))
+        with pytest.raises(RtApplyError) as err:
+            runner.Session(cfg)
+        if err.value.setting == "eth_irq":
+            pytest.skip("SCHED_FIFO denied for another process")
+        assert err.value.setting == "softirq"
+        assert sched_of(pid) == before
+
+    def test_memory_unlocked_on_close(self):
+        session = runner.Session(quick_config(
+            role="client", rt=RtProfile(lock_memory=True)))
+        try:
+            if session.rt_report.settings["lock_memory"].outcome is not Outcome.APPLIED:
+                pytest.skip("mlockall denied")
+            assert vm_locked_kb() > 0
+        finally:
+            session.close()
+        assert vm_locked_kb() == 0
