@@ -21,6 +21,7 @@ when the controller disconnects, or at the agent's close().
 
 import socket
 import threading
+import traceback
 
 from .errors import PeerUnreachableError, RttBenchError
 from .pubsub import Endpoint
@@ -32,12 +33,18 @@ class ControlProtocolError(RttBenchError):
     """Peer sent something outside the protocol."""
 
 
+def _error(reason) -> bytes:
+    """The ERROR reply, on one line whatever the reason's text holds."""
+    return f"ERROR {' '.join(str(reason).split())}\n".encode()
+
+
 class ControlAgent:
     """Accepts one controller at a time and drives experiment sessions.
 
     `start_session(experiment_id)` starts a session and returns the
     callable that stops it, `stop() -> bytes`; KeyError maps to an ERROR
-    reply.
+    reply. A `stop` that raises still ends the session: STOP answers
+    ERROR, and the agent goes on serving the next controller.
     """
 
     def __init__(self, listen: Endpoint, start_session):
@@ -79,29 +86,35 @@ class ControlAgent:
                 elif command.startswith("START "):
                     experiment_id = command[len("START "):]
                     if stop_session is not None:
-                        conn.sendall(b"ERROR session already started\n")
+                        conn.sendall(_error("session already started"))
                         continue
                     try:
                         stop_session = self._start_session(experiment_id)
                         conn.settimeout(None)  # silent until STOP
                         conn.sendall(b"STARTED\n")
                     except KeyError:
-                        conn.sendall(f"ERROR unknown experiment {experiment_id}\n"
-                                     .encode())
+                        conn.sendall(_error(f"unknown experiment {experiment_id}"))
                     except Exception as exc:
-                        conn.sendall(f"ERROR {exc}\n".encode())
+                        conn.sendall(_error(exc))
                 elif command == "STOP":
-                    payload = stop_session() if stop_session is not None else b""
-                    stop_session = None
+                    stop, stop_session = stop_session, None  # ended either way
                     conn.settimeout(_IO_TIMEOUT)
+                    try:
+                        payload = stop() if stop is not None else b""
+                    except Exception as exc:
+                        conn.sendall(_error(f"stop failed: {exc}"))
+                        continue
                     conn.sendall(f"RESULT {len(payload)}\n".encode() + payload)
                 else:
-                    conn.sendall(f"ERROR unknown command {command!r}\n".encode())
+                    conn.sendall(_error(f"unknown command {command!r}"))
         except OSError:
             pass
         finally:
             if stop_session is not None:
-                stop_session()
+                try:
+                    stop_session()
+                except Exception:
+                    traceback.print_exc()  # no controller is left to tell
 
     def close(self):
         """Stop serving; a held session is torn down before this returns."""

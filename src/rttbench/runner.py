@@ -419,8 +419,9 @@ class Session:
             lines += [f"rt.{name} = {res.outcome.value} {res.effective}".rstrip()
                       for name, res in sorted(self.rt_report.settings.items())]
         if self._traffic is not None:
-            send_bps = self._traffic.report().achieved_bps
-            lines.append(f"traffic.achieved_send_bps = {send_bps:.0f}")
+            sent = self._traffic.report()
+            lines += [f"traffic.achieved_send_bps = {sent.achieved_bps:.0f}",
+                      f"traffic.send_errors = {sent.send_errors}"]
         if self._sink is not None:
             lines += [f"traffic.achieved_sink_bps = {self._sink.achieved_bps():.0f}",
                       f"sink.packets = {self._sink.packets}",
@@ -428,7 +429,8 @@ class Session:
                       f"sink.lost = {self._sink.lost()}"]
         if self.server_stats is not None:
             lines += [f"server.echoed = {self.server_stats.echoed}",
-                      f"server.malformed = {self.server_stats.malformed}"]
+                      f"server.malformed = {self.server_stats.malformed}",
+                      f"server.send_errors = {self.server_stats.send_errors}"]
         return lines + self._agent_lines
 
 

@@ -1,6 +1,8 @@
 """Cycle client state machine, classification, echo server."""
 
 import random
+import statistics
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -175,6 +177,34 @@ class TestSimulatedClient:
         expected = replay_oracle(delays, duration_ns=20 * S, warmup_ns=1 * S)
         got = [(s.t1_ns, s.t2_ns, s.rtt_us, s.cls) for s in result.samples]
         assert got == expected
+
+
+class TestMonotonicClock:
+    def test_wait_frees_the_interpreter_lock(self):
+        # a thread that sleeps 200 us at a time needs the lock back on each
+        # wake-up; a spin that kept it would hold it for the 5 ms switch
+        # interval
+        lateness_ns = []
+        done = threading.Event()
+
+        def sleeper():
+            while not done.is_set():
+                due = time.monotonic_ns() + 200_000
+                time.sleep(0.0002)
+                lateness_ns.append(time.monotonic_ns() - due)
+
+        thread = threading.Thread(target=sleeper, name="sleeper")
+        thread.start()
+        try:
+            clock = MonotonicClock()
+            start = clock.now_ns()
+            for k in range(1, 201):
+                clock.sleep_until(start + k * MS)
+        finally:
+            done.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert statistics.median(lateness_ns) < 1 * MS
 
 
 class TestLoopbackTransport:

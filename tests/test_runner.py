@@ -58,10 +58,10 @@ CLIENT_KEYS = META_KEYS | {
     "counters.send_errors", "counters.skipped_cycles", "counters.warmup_samples",
     "counters.wakeup_jitter_max_us", "counters.wakeup_jitter_avg_us",
     "event.warmup_started"}
-SEND_KEYS = {"traffic.achieved_send_bps", "event.traffic_started",
-             "event.traffic_stopped"}
+SEND_KEYS = {"traffic.achieved_send_bps", "traffic.send_errors",
+             "event.traffic_started", "event.traffic_stopped"}
 SINK_KEYS = {"traffic.achieved_sink_bps", "sink.packets", "sink.bytes", "sink.lost"}
-ECHO_KEYS = {"server.echoed", "server.malformed"}
+ECHO_KEYS = {"server.echoed", "server.malformed", "server.send_errors"}
 
 
 def meta_values(run_dir):
@@ -474,6 +474,30 @@ class TestControlProtocol:
             payload = client.stop()
             client.close()
         assert "server.echoed = 0" in payload.decode()
+
+    def test_agent_outlives_a_failing_stop(self, monkeypatch):
+        # a HELLO to a dead serve thread would wait out the I/O timeout
+        monkeypatch.setattr(control, "_IO_TIMEOUT", 0.5)
+        stops = []
+
+        def start_session(experiment_id):
+            def stop():
+                stops.append(experiment_id)
+                raise RuntimeError("teardown\nfailed")  # ERROR stays one line
+            return stop
+
+        listen = Endpoint("127.0.0.1", free_udp_port())
+        with control.ControlAgent(listen, start_session) as agent:
+            with ControlClient(agent.listen) as client:
+                client.hello()
+                client.start("stopped")
+                with pytest.raises(ControlProtocolError, match="teardown failed"):
+                    client.stop()
+                client.start("abandoned")  # the failed session counts as ended
+            # this controller leaves without STOP; the agent stops the session
+            with ControlClient(agent.listen) as client:
+                client.hello()
+        assert stops == ["stopped", "abandoned"]
 
     def test_close_stops_a_held_session(self):
         cfg = self.agent_config()
